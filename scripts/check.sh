@@ -5,9 +5,10 @@
 # address sanitizer is for), a ThreadSanitizer pass over the batch
 # engine (the one component with real cross-thread sharing: the
 # characterization cache and the worker pool), a fuzz smoke stage over
-# the SPEF parser, and a chaos stage that runs a batch under injected
+# the SPEF parser, a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
-# independent output (DESIGN.md §10).
+# independent output (DESIGN.md §10), and the perf gates plus the
+# benchmark's own smoke test (--no-bench skips both).
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -131,6 +132,13 @@ if [[ "$run_chaos" == 1 ]]; then
 fi
 
 if [[ "$run_bench" == 1 ]]; then
+  echo "== benchmark smoke: noisebench at tiny sizes =="
+  # Every workload untraced and traced through noisebench/run.py: the
+  # repeat-digest, traced stage-replay bit-equality and server/ladder
+  # gates must pass, the metric set must match BENCHMARK.json, and a
+  # tampered digest must fail its gate (noisebench/README.md).
+  python3 noisebench/smoke_test.py
+
   echo "== perf gate: transient engine (bench_perf_sim) =="
   # Fixed-step full Newton vs adaptive + modified Newton + warm start on
   # the 5000-node coupled bus. The binary exits nonzero unless the e2e

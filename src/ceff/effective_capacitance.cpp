@@ -38,16 +38,21 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
     ckt.add_vsource(src, kGround, m.source(t_stop));
     ckt.add_resistor(src, port, m.rth);
 
+    // Only the port up to its 50% crossing is read below, so the sim
+    // records the port alone and ends on the sample past the crossing —
+    // the grid point crossing() and clipped() interpolate with, which
+    // keeps t50 and q bit-identical to a full-horizon run.
+    const double mid = 0.5 * (m.v_from + m.v_to);
     LinearSim sim(ckt, opts.solver);
     TransientSpec spec{0.0, t_stop, opts.sim_dt};
     spec.lte_tol = opts.lte_tol;
     spec.max_dt_growth = opts.max_dt_growth;
-    const auto res = sim.try_run(spec);
+    const auto res =
+        sim.try_run(spec, {port}, CrossingStop{port, mid, m.rising()});
     if (!res.ok()) raise(res.status());
     const Pwl v_port = res->waveform(port);
 
     // Driver-output 50% crossing.
-    const double mid = 0.5 * (m.v_from + m.v_to);
     const auto t50 = v_port.crossing(mid, m.rising());
     if (!t50)
       throw std::runtime_error(

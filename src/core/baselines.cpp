@@ -91,7 +91,7 @@ GoldenResult golden_nonlinear(const CoupledNet& net,
     NewtonOptions newton = opts.newton;
     newton.solver = opts.solver;
     NonlinearSim sim(ckt, newton);
-    const auto res = sim.try_run(spec);
+    const auto res = sim.try_run(spec, nullptr, {probes.sink, probes.rcv_out});
     if (!res.ok()) raise(res.status());
     const Pwl sink = res->waveform(probes.sink);
     const Pwl rout = res->waveform(probes.rcv_out);

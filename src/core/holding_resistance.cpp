@@ -40,15 +40,17 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   spec.lte_tol = opts.lte_tol;
   spec.max_dt_growth = opts.max_dt_growth;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  GateSimCache cache;
-  GateSimCache* warm = opts.warm_start ? &cache : nullptr;
 
   // Noiseless nonlinear victim driver into its effective load (V1) is
-  // independent of the holding resistance: simulate once.
-  auto v1r = try_simulate_gate(eng.net().victim.driver, vin, cload, spec,
-                               std::nullopt, warm);
-  if (!v1r.ok()) raise(v1r.status());
-  const Pwl v1 = std::move(v1r).value();
+  // independent of the holding resistance and the shifts: the engine
+  // simulates it once per spec. V2 warm-starts from V1's DC state, as if
+  // V1 had just run through the same cache.
+  const SuperpositionEngine::DriverResponse& v1run =
+      eng.victim_driver_response(spec);
+  const Pwl& v1 = v1run.out;
+  GateSimCache cache;
+  if (opts.warm_start) cache.dc = v1run.dc;
+  GateSimCache* warm = opts.warm_start ? &cache : nullptr;
 
   double holding = out.rth;
   for (int it = 1; it <= opts.max_iterations; ++it) {

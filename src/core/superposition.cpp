@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "devices/gate.hpp"
 #include "mor/reduction_cache.hpp"
 #include "sim/linear_sim.hpp"
 #include "util/degradation.hpp"
@@ -140,13 +141,14 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_aggressor(
                       vmap[static_cast<std::size_t>(cc.victim_node)], cc.c);
   }
 
+  const NodeId root = vmap[0];
+  const NodeId sink = vmap[static_cast<std::size_t>(net_.victim.net.sink)];
   LinearSim sim(ckt, opts_.solver);
-  const auto res = sim.try_run(transient_spec());
+  const auto res = sim.try_run(transient_spec(), {root, sink});
   if (!res.ok()) raise(res.status());
   Waveforms w;
-  w.at_root = res->waveform(vmap[0]);
-  w.at_sink =
-      res->waveform(vmap[static_cast<std::size_t>(net_.victim.net.sink)]);
+  w.at_root = res->waveform(root);
+  w.at_sink = res->waveform(sink);
   return w;
 }
 
@@ -178,13 +180,16 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_victim() const {
                       vmap[static_cast<std::size_t>(cc.victim_node)], cc.c);
   }
 
+  const NodeId root = vmap[0];
+  const NodeId sink = vmap[static_cast<std::size_t>(net_.victim.net.sink)];
+  std::vector<NodeId> record{root, sink};
+  for (const auto& amap : amaps) record.push_back(amap[0]);
   LinearSim sim(ckt, opts_.solver);
-  const auto res = sim.try_run(transient_spec());
+  const auto res = sim.try_run(transient_spec(), record);
   if (!res.ok()) raise(res.status());
   Waveforms w;
-  w.at_root = res->waveform(vmap[0]);
-  w.at_sink =
-      res->waveform(vmap[static_cast<std::size_t>(net_.victim.net.sink)]);
+  w.at_root = res->waveform(root);
+  w.at_sink = res->waveform(sink);
   // Record the noise the victim injects on each aggressor root (the nets
   // are at 0 quiet level in this circuit, so the waveform IS the noise).
   for (std::size_t j = 0; j < amaps.size(); ++j)
@@ -215,6 +220,19 @@ const SuperpositionEngine::Waveforms& SuperpositionEngine::victim_transition()
     const {
   if (!victim_cache_) victim_cache_ = run_victim();
   return *victim_cache_;
+}
+
+const SuperpositionEngine::DriverResponse&
+SuperpositionEngine::victim_driver_response(const TransientSpec& spec) const {
+  for (const auto& [key, response] : driver_cache_)
+    if (key == spec) return response;
+  GateSimCache cold;  // Captures the run's DC state for the V2 warm start.
+  auto out = try_simulate_gate(net_.victim.driver, victim_input(),
+                               victim_model_.ceff, spec, std::nullopt, &cold);
+  if (!out.ok()) raise(out.status());
+  driver_cache_.emplace_back(
+      spec, DriverResponse{std::move(out).value(), std::move(cold.dc)});
+  return driver_cache_.back().second;
 }
 
 Pwl SuperpositionEngine::composite_noise_at_sink(

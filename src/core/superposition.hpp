@@ -15,6 +15,7 @@
 // aggressor is simulated once per holding resistance and then shifted.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
@@ -94,6 +95,17 @@ class SuperpositionEngine {
   /// Noiseless victim transition (absolute waveforms), aggressors held.
   const Waveforms& victim_transition() const;
 
+  /// Noiseless nonlinear victim driver into its effective load (Ceff)
+  /// under `spec` — V1 of the Rtr extraction (core/holding_resistance.hpp)
+  /// — and the DC state the run started from, the warm-start seed of the
+  /// V2 sims. Depends only on the driver, victim_input(), Ceff and the
+  /// spec, so it is cached per spec.
+  struct DriverResponse {
+    Pwl out;
+    std::vector<double> dc;
+  };
+  const DriverResponse& victim_driver_response(const TransientSpec& spec) const;
+
   /// Noise the victim transition induces on aggressor k's root (deviation
   /// from the aggressor's quiet level) — the Figure 1(c) side effect used
   /// by the aggressor-Rtr extension. Cached.
@@ -139,6 +151,8 @@ class SuperpositionEngine {
   mutable std::map<std::pair<int, double>, Waveforms> noise_cache_;
   mutable std::optional<Waveforms> victim_cache_;
   mutable std::map<int, Pwl> victim_on_aggressor_cache_;
+  // Deque: push_back keeps handed-out references valid.
+  mutable std::deque<std::pair<TransientSpec, DriverResponse>> driver_cache_;
 };
 
 }  // namespace dn

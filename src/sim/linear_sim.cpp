@@ -37,7 +37,9 @@ StatusOr<Vector> LinearSim::try_dc_solve(double t) const {
   }
 }
 
-TransientResult LinearSim::run_impl(const TransientSpec& spec) const {
+TransientResult LinearSim::run_impl(
+    const TransientSpec& spec, const std::vector<NodeId>& record,
+    const std::optional<CrossingStop>& stop) const {
   const std::size_t dim = mna_.dim();
   static obs::Counter& c_steps = obs::metrics().counter("sim.linear.steps");
   static obs::Counter& c_accepted =
@@ -91,18 +93,18 @@ TransientResult LinearSim::run_impl(const TransientSpec& spec) const {
     }
   };
 
+  TransientResult result(ckt_.num_nodes(), record);  // Validates `record`.
   Vector x0 = dc_solve(spec.t_start);
 
-  TransientResult result(ckt_.num_nodes());
   if (!spec.adaptive())
     result.reserve(static_cast<std::size_t>(*spec.num_steps()) + 1);
-  auto record = [&](const Vector& x, double t) {
-    const std::size_t k = result.add_sample(t);
-    for (NodeId n = 1; n < ckt_.num_nodes(); ++n)
-      result.v(n, k) = mna_.node_voltage(x, n);
+  auto sample = [&](const Vector& x, double t) {
+    result.append(t, [&](NodeId n) { return mna_.node_voltage(x, n); });
   };
-  record(x0, spec.t_start);
+  sample(x0, spec.t_start);
   result.set_initial_state(x0);
+  // Stop-node value at the last accepted sample (the segment start).
+  double v_stop = stop ? mna_.node_voltage(x0, stop->node) : 0.0;
 
   StepController ctl(spec, ckt_);
   Vector b0, b1;
@@ -189,7 +191,15 @@ TransientResult LinearSim::run_impl(const TransientSpec& spec) const {
     std::swap(x0, x1);
     std::swap(b0, b1);
     t0 = t1;
-    record(x0, t0);
+    sample(x0, t0);
+    if (stop) {
+      const double v0 = v_stop, v1 = mna_.node_voltage(x0, stop->node);
+      v_stop = v1;
+      const double l = stop->level;
+      if ((v1 > v0) == stop->rising && (v0 - l) * (v1 - l) <= 0.0 &&
+          v0 != v1)
+        break;
+    }
   }
   c_steps.add(n_steps);
   c_accepted.add(n_steps);
@@ -199,13 +209,18 @@ TransientResult LinearSim::run_impl(const TransientSpec& spec) const {
   return result;
 }
 
-StatusOr<TransientResult> LinearSim::try_run(const TransientSpec& spec) const {
+StatusOr<TransientResult> LinearSim::try_run(
+    const TransientSpec& spec, const std::vector<NodeId>& record,
+    const std::optional<CrossingStop>& stop) const {
   if (!ckt_.is_linear())
     return Status::InvalidArgument(
         "LinearSim: circuit contains MOSFETs; use NonlinearSim");
   if (Status s = spec.validate(); !s.ok()) return s;
+  if (stop && (stop->node <= kGround || stop->node >= ckt_.num_nodes() ||
+               !std::isfinite(stop->level)))
+    return Status::InvalidArgument("LinearSim: bad crossing-stop node/level");
   try {
-    return run_impl(spec);
+    return run_impl(spec, record, stop);
   } catch (const std::exception& e) {
     return status_from_exception(e);
   }

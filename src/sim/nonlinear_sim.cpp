@@ -268,8 +268,9 @@ StatusOr<Vector> NonlinearSim::try_dc_solve(double t, const Vector* hint) const 
   }
 }
 
-TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
-                                       const Vector* dc_hint) const {
+TransientResult NonlinearSim::run_impl(
+    const TransientSpec& spec, const Vector* dc_hint,
+    const std::vector<NodeId>& record) const {
   const std::size_t dim = mna_.dim();
   const std::size_t nv = mna_.num_node_vars();
   SimCounters& c = counters();
@@ -283,17 +284,15 @@ TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
 
   stale_budget_ = spec.stale_jacobian_iters >= 0 ? spec.stale_jacobian_iters
                                                  : opts_.stale_jacobian_iters;
+  TransientResult result(ckt_.num_nodes(), record);  // Validates `record`.
   Vector x0 = dc_solve(spec.t_start, dc_hint);
 
-  TransientResult result(ckt_.num_nodes());
   if (!spec.adaptive())
     result.reserve(static_cast<std::size_t>(*spec.num_steps()) + 1);
-  auto record = [&](const Vector& x, double t) {
-    const std::size_t k = result.add_sample(t);
-    for (NodeId n = 1; n < ckt_.num_nodes(); ++n)
-      result.v(n, k) = mna_.node_voltage(x, n);
+  auto sample = [&](const Vector& x, double t) {
+    result.append(t, [&](NodeId n) { return mna_.node_voltage(x, n); });
   };
-  record(x0, spec.t_start);
+  sample(x0, spec.t_start);
   result.set_initial_state(x0);
 
   // Trapezoidal residual at new state x1:
@@ -482,7 +481,7 @@ TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
     std::swap(x0, x1);
     std::swap(b0, b1);
     t0 = t1;
-    record(x0, t0);
+    sample(x0, t0);
   }
   c.newton_iters.add(newton_iters);
   c.steps.add(n_steps);
@@ -495,11 +494,12 @@ TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
   return result;
 }
 
-StatusOr<TransientResult> NonlinearSim::try_run(const TransientSpec& spec,
-                                                const Vector* dc_hint) const {
+StatusOr<TransientResult> NonlinearSim::try_run(
+    const TransientSpec& spec, const Vector* dc_hint,
+    const std::vector<NodeId>& record) const {
   if (Status s = spec.validate(); !s.ok()) return s;
   try {
-    return run_impl(spec, dc_hint);
+    return run_impl(spec, dc_hint, record);
   } catch (const ConvergenceError& e) {
     return Status::NumericFailure(e.what());
   } catch (const std::exception& e) {

@@ -63,9 +63,12 @@ class NonlinearSim {
   /// Trapezoidal transient from the DC operating point at t_start
   /// (LTE-adaptive when spec.lte_tol > 0). `dc_hint` optionally seeds the
   /// operating-point solve (warm start); it is validated by Newton, never
-  /// trusted blindly. kNumericError on Newton non-convergence.
-  StatusOr<TransientResult> try_run(const TransientSpec& spec,
-                                    const Vector* dc_hint = nullptr) const;
+  /// trusted blindly. kNumericError on Newton non-convergence. Records
+  /// the nodes in `record` (every node when empty; a node outside the
+  /// circuit is kInvalidArgument), as LinearSim::try_run does.
+  StatusOr<TransientResult> try_run(
+      const TransientSpec& spec, const Vector* dc_hint = nullptr,
+      const std::vector<NodeId>& record = {}) const;
 
   /// DC operating point at time t. With a usable `hint` the gmin-stepping
   /// ladder is skipped entirely when direct Newton from the hint converges.
@@ -90,8 +93,8 @@ class NonlinearSim {
 
   // Throwing internals wrapped by the StatusOr surface.
   Vector dc_solve(double t, const Vector* hint) const;
-  TransientResult run_impl(const TransientSpec& spec,
-                           const Vector* dc_hint) const;
+  TransientResult run_impl(const TransientSpec& spec, const Vector* dc_hint,
+                           const std::vector<NodeId>& record) const;
 
   const Circuit& ckt_;
   MnaSystem mna_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace dn {
 
@@ -34,15 +36,35 @@ StatusOr<int> TransientSpec::num_steps() const {
   return static_cast<int>((t_stop - t_start) / dt + 0.5);
 }
 
-void TransientResult::reserve(std::size_t points) {
-  time_.reserve(points);
-  for (auto& row : v_) row.reserve(points);
+TransientResult::TransientResult(int num_nodes,
+                                 const std::vector<NodeId>& nodes)
+    : row_of_(static_cast<std::size_t>(std::max(num_nodes, 0)), -1) {
+  auto add = [&](NodeId n) {
+    if (n < 0 || n >= num_nodes)
+      throw std::invalid_argument("TransientResult: record node " +
+                                  std::to_string(n) + " is not in the circuit");
+    int& r = row_of_[static_cast<std::size_t>(n)];
+    if (r >= 0) return;
+    r = static_cast<int>(nodes_.size());
+    nodes_.push_back(n);
+  };
+  if (nodes.empty())
+    for (NodeId n = 0; n < num_nodes; ++n) add(n);
+  else
+    for (const NodeId n : nodes) add(n);
+  rows_.resize(nodes_.size());
 }
 
-std::size_t TransientResult::add_sample(double t) {
-  time_.push_back(t);
-  for (auto& row : v_) row.push_back(0.0);
-  return time_.size() - 1;
+std::size_t TransientResult::row(NodeId n) const {
+  if (!recorded(n))
+    throw std::out_of_range("TransientResult: node " + std::to_string(n) +
+                            " was not recorded");
+  return static_cast<std::size_t>(row_of_[static_cast<std::size_t>(n)]);
+}
+
+void TransientResult::reserve(std::size_t points) {
+  time_.reserve(points);
+  for (auto& r : rows_) r.reserve(points);
 }
 
 Pwl TransientResult::waveform_on_grid(NodeId n, double dt) const {

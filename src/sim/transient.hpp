@@ -11,6 +11,8 @@
 // grow in power-of-two rungs above it on smooth intervals.
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -43,6 +45,7 @@ struct TransientSpec {
   int stale_jacobian_iters = -1;
 
   bool adaptive() const { return lte_tol > 0.0; }
+  bool operator==(const TransientSpec&) const = default;
 
   /// kInvalidArgument with a specific message on any bad field.
   Status validate() const;
@@ -52,34 +55,42 @@ struct TransientSpec {
   StatusOr<int> num_steps() const;
 };
 
-/// Transient result: per-node voltages at sampled (not necessarily
-/// uniform) time points. Pwl handles non-uniform grids natively, so
-/// waveform() consumers are agnostic to how the run chose its steps.
+/// Transient result: node voltages at sampled (not necessarily uniform)
+/// time points. Pwl handles non-uniform grids natively, so waveform()
+/// consumers are agnostic to how the run chose its steps.
+///
+/// A result records either every node (the default) or only the nodes a
+/// caller asked for; the time axis is shared by all recorded rows.
 class TransientResult {
  public:
-  explicit TransientResult(int num_nodes)
-      : v_(static_cast<std::size_t>(num_nodes)) {}
+  /// Records only `nodes` (duplicates collapse), or every node when the
+  /// list is empty (row 0, ground, then stays 0). Throws
+  /// std::invalid_argument on a node outside the circuit.
+  explicit TransientResult(int num_nodes,
+                           const std::vector<NodeId>& nodes = {});
 
   void reserve(std::size_t points);
 
   std::size_t num_points() const { return time_.size(); }
   const std::vector<double>& time() const { return time_; }
 
-  /// Appends a sample at time t (must be strictly after the last sample);
-  /// returns its index. Node values default to 0 until written via v().
-  std::size_t add_sample(double t);
-
-  double& v(NodeId n, std::size_t k) {
-    return v_[static_cast<std::size_t>(n)][k];
-  }
-  double v(NodeId n, std::size_t k) const {
-    return v_[static_cast<std::size_t>(n)][k];
+  bool recorded(NodeId n) const {
+    return n >= 0 && static_cast<std::size_t>(n) < row_of_.size() &&
+           row_of_[static_cast<std::size_t>(n)] >= 0;
   }
 
-  /// Node voltage as a waveform over the sampled points.
-  Pwl waveform(NodeId n) const {
-    return Pwl(time_, v_[static_cast<std::size_t>(n)]);
+  /// Appends a sample at time t (strictly after the last sample) holding
+  /// `voltage(n)` for every recorded node n.
+  template <class VoltageOf>
+  void append(double t, VoltageOf&& voltage) {
+    time_.push_back(t);
+    for (std::size_t r = 0; r < nodes_.size(); ++r)
+      rows_[r].push_back(voltage(nodes_[r]));
   }
+
+  /// Node voltage as a waveform over the sampled points; throws
+  /// std::out_of_range when n is not recorded.
+  Pwl waveform(NodeId n) const { return Pwl(time_, rows_[row(n)]); }
 
   /// Resampling helper for consumers that want the legacy uniform grid:
   /// the node waveform linearly interpolated onto steps of `dt`.
@@ -94,8 +105,12 @@ class TransientResult {
   }
 
  private:
+  std::size_t row(NodeId n) const;
+
   std::vector<double> time_;
-  std::vector<std::vector<double>> v_;  // [node][sample]; node 0 = ground.
+  std::vector<NodeId> nodes_;               // Recorded nodes, row order.
+  std::vector<int> row_of_;                 // [node] -> row, -1 = unrecorded.
+  std::vector<std::vector<double>> rows_;   // [row][sample].
   std::vector<double> initial_state_;
 };
 

@@ -3,6 +3,7 @@
 // warm starts (sim/transient.*, sim/*_sim.*, devices/gate.*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -236,8 +237,32 @@ TEST(AdaptiveSim, ResamplingHelperRestoresUniformGrid) {
     EXPECT_NEAR(uniform.at(t), raw.at(t), 1e-9);
 }
 
+TEST(NonlinearSimRecord, SubsetMatchesAllNodeRunBitForBit) {
+  NodeId sink = kGround;
+  const Circuit c = inverter_chain(&sink);
+  NonlinearSim sim(c);
+  TransientSpec spec{0.0, 1.5 * ns, 1 * ps};
+  spec.lte_tol = 1e-3;
+  const TransientResult all = sim.try_run(spec).value();
+  const TransientResult one = sim.try_run(spec, nullptr, {sink}).value();
+  ASSERT_EQ(one.time(), all.time());
+  const Pwl a = all.waveform(sink), b = one.waveform(sink);
+  EXPECT_TRUE(std::equal(a.values().begin(), a.values().end(),
+                         b.values().begin(), b.values().end()));
+  EXPECT_TRUE(one.recorded(sink));
+  EXPECT_THROW(one.waveform(sink == 1 ? 2 : 1), std::out_of_range);
+  const auto bad = sim.try_run(spec, nullptr, {c.num_nodes()});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
 // waveform_on_grid edge cases: degenerate results and grids that do not
 // line up with the sampled points must resolve without throwing.
+
+// Appends one sample holding `v` on every recorded node.
+void add(TransientResult& res, double t, double v) {
+  res.append(t, [v](NodeId) { return v; });
+}
 
 TEST(TransientResultGrid, EmptyResultYieldsEmptyWaveform) {
   const TransientResult res(2);
@@ -247,9 +272,8 @@ TEST(TransientResultGrid, EmptyResultYieldsEmptyWaveform) {
 }
 
 TEST(TransientResultGrid, SingleSampleReturnsThatSample) {
-  TransientResult res(2);
-  const std::size_t k = res.add_sample(3 * ps);
-  res.v(1, k) = 0.75;
+  TransientResult res(2, {1});
+  add(res, 3 * ps, 0.75);
   // No span to grid: the raw single-point waveform comes back instead of
   // a degenerate (zero-width) resample.
   const Pwl w = res.waveform_on_grid(1, 1 * ps);
@@ -260,9 +284,9 @@ TEST(TransientResultGrid, SingleSampleReturnsThatSample) {
 }
 
 TEST(TransientResultGrid, GridStepPastLastSampleClampsToSpan) {
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.0;
-  res.v(1, res.add_sample(1 * ns)) = 1.0;
+  TransientResult res(2, {1});
+  add(res, 0.0, 0.0);
+  add(res, 1 * ns, 1.0);
   // dt far larger than the sampled span: the grid degenerates to the two
   // endpoints rather than stepping past the last sample.
   const Pwl w = res.waveform_on_grid(1, 3 * ns);
@@ -273,9 +297,9 @@ TEST(TransientResultGrid, GridStepPastLastSampleClampsToSpan) {
 }
 
 TEST(TransientResultGrid, NonPositiveDtReturnsRawSamples) {
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.25;
-  res.v(1, res.add_sample(0.7 * ns)) = 0.5;
+  TransientResult res(2, {1});
+  add(res, 0.0, 0.25);
+  add(res, 0.7 * ns, 0.5);
   const Pwl w = res.waveform_on_grid(1, 0.0);
   ASSERT_EQ(w.times().size(), 2u);
   EXPECT_DOUBLE_EQ(w.times()[1], 0.7 * ns);
@@ -285,11 +309,11 @@ TEST(TransientResultGrid, NonPositiveDtReturnsRawSamples) {
 TEST(TransientResultGrid, BreakpointsOffGridInterpolate) {
   // Samples at irregular (adaptive-style) times; a uniform grid that
   // never lands on them must read linearly interpolated values.
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.0;
-  res.v(1, res.add_sample(0.3 * ns)) = 3.0;
-  res.v(1, res.add_sample(1.0 * ns)) = 3.0;
-  res.v(1, res.add_sample(2.0 * ns)) = 1.0;
+  TransientResult res(2, {1});
+  add(res, 0.0, 0.0);
+  add(res, 0.3 * ns, 3.0);
+  add(res, 1.0 * ns, 3.0);
+  add(res, 2.0 * ns, 1.0);
   const Pwl w = res.waveform_on_grid(1, 0.25 * ns);
   ASSERT_EQ(w.times().size(), 9u);  // 2 ns span / 0.25 ns + endpoint.
   // t = 0.25 ns falls inside the rising 0..0.3 ns segment.

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
 
 #include "util/units.hpp"
 
@@ -151,6 +155,170 @@ TEST(LinearSim, BadSpecIsInvalidArgument) {
   const auto r3 = sim.try_run({0.0, 1 * ns, 1 * ps, -1e-4});
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
+}
+
+// RC ladder from a pulse source with a capacitively coupled quiet
+// neighbour line: the ladder nodes rise then fall (each crosses mid-levels
+// in both directions), the neighbour sees a bipolar noise bump.
+struct Ladder {
+  Circuit c;
+  std::vector<NodeId> line, quiet;
+};
+
+Ladder pulse_ladder() {
+  Ladder l;
+  const NodeId in = l.c.node("in");
+  l.c.add_vsource(in, kGround,
+                  Pwl({0.0, 100 * ps, 180 * ps, 600 * ps, 700 * ps},
+                      {0.0, 0.0, 1.0, 1.0, 0.0}));
+  NodeId prev = in, qprev = kGround;
+  for (int k = 0; k < 6; ++k) {
+    const NodeId n = l.c.node("n" + std::to_string(k));
+    const NodeId q = l.c.node("q" + std::to_string(k));
+    l.c.add_resistor(prev, n, 400.0);
+    l.c.add_capacitor(n, kGround, 15 * fF);
+    l.c.add_resistor(qprev, q, 300.0);
+    l.c.add_capacitor(q, kGround, 10 * fF);
+    l.c.add_capacitor(n, q, 8 * fF);
+    l.line.push_back(n);
+    l.quiet.push_back(q);
+    prev = n;
+    qprev = q;
+  }
+  return l;
+}
+
+std::vector<double> values(const Pwl& w) {
+  return {w.values().begin(), w.values().end()};
+}
+
+TransientSpec fixed_spec() { return {0.0, 2 * ns, 1 * ps}; }
+TransientSpec adaptive_spec() {
+  TransientSpec s{0.0, 2 * ns, 1 * ps};
+  s.lte_tol = 5e-4;
+  s.max_dt_growth = 32.0;
+  return s;
+}
+
+TEST(LinearSimRecord, SubsetMatchesAllNodeRunBitForBit) {
+  const Ladder l = pulse_ladder();
+  LinearSim sim(l.c);
+  for (const TransientSpec& spec : {fixed_spec(), adaptive_spec()}) {
+    const TransientResult all = sim.try_run(spec).value();
+    const std::vector<NodeId> probes{l.line.back(), l.quiet[2], l.line[0]};
+    const TransientResult some = sim.try_run(spec, probes).value();
+    for (NodeId n = 0; n < l.c.num_nodes(); ++n) {
+      EXPECT_TRUE(all.recorded(n));
+      EXPECT_EQ(some.recorded(n),
+                std::find(probes.begin(), probes.end(), n) != probes.end());
+    }
+    ASSERT_EQ(some.time(), all.time());
+    for (const NodeId n : probes) {
+      EXPECT_TRUE(some.recorded(n));
+      EXPECT_EQ(values(some.waveform(n)), values(all.waveform(n)));
+    }
+    EXPECT_EQ(some.initial_state(), all.initial_state());
+  }
+}
+
+TEST(LinearSimRecord, UnrecordedNodeThrows) {
+  const Ladder l = pulse_ladder();
+  LinearSim sim(l.c);
+  const TransientResult res =
+      sim.try_run(adaptive_spec(), {l.line.back()}).value();
+  EXPECT_FALSE(res.recorded(l.quiet[0]));
+  EXPECT_THROW(res.waveform(l.quiet[0]), std::out_of_range);
+  EXPECT_THROW(res.waveform(kGround), std::out_of_range);
+  EXPECT_THROW(res.waveform(l.c.num_nodes()), std::out_of_range);
+}
+
+TEST(LinearSimRecord, BadRecordOrStopNodeIsInvalidArgument) {
+  const Ladder l = pulse_ladder();
+  LinearSim sim(l.c);
+  const auto r1 = sim.try_run(fixed_spec(), {l.c.num_nodes()});
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
+  const auto r2 = sim.try_run(fixed_spec(), {}, CrossingStop{kGround, 0.5});
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Index of the first sample that ends a segment crossing `level` in the
+// requested direction (Pwl::crossing's segment test); 0 when none does.
+std::size_t first_crossing_sample(const Pwl& w, double level, bool rising) {
+  const auto& v = w.values();
+  for (std::size_t i = 1; i < v.size(); ++i)
+    if ((v[i] > v[i - 1]) == rising &&
+        (v[i - 1] - level) * (v[i] - level) <= 0.0 && v[i - 1] != v[i])
+      return i;
+  return 0;
+}
+
+TEST(LinearSimStop, StoppedRunIsExactPrefixEndingPastFirstCrossing) {
+  const Ladder l = pulse_ladder();
+  LinearSim sim(l.c);
+  const NodeId node = l.line[3];
+  for (const TransientSpec& spec : {fixed_spec(), adaptive_spec()}) {
+    const TransientResult full = sim.try_run(spec).value();
+    const Pwl wf = full.waveform(node);
+    for (const bool rising : {true, false}) {
+      const double level = 0.4;
+      const std::size_t k = first_crossing_sample(wf, level, rising);
+      ASSERT_GT(k, 0u);
+      const TransientResult cut =
+          sim.try_run(spec, {node, l.quiet[1]},
+                      CrossingStop{node, level, rising})
+              .value();
+      ASSERT_EQ(cut.num_points(), k + 1) << "rising=" << rising;
+      const std::vector<double> t_full = full.time();
+      EXPECT_EQ(cut.time(),
+                std::vector<double>(t_full.begin(), t_full.begin() + k + 1));
+      for (const NodeId n : {node, l.quiet[1]}) {
+        const std::vector<double> v_full = values(full.waveform(n));
+        EXPECT_EQ(values(cut.waveform(n)),
+                  std::vector<double>(v_full.begin(), v_full.begin() + k + 1));
+      }
+      EXPECT_EQ(cut.waveform(node).crossing(level, rising),
+                wf.crossing(level, rising));
+      EXPECT_LT(cut.time().back(), spec.t_stop);
+    }
+  }
+}
+
+TEST(LinearSimStop, WrongDirectionDoesNotStop) {
+  // A plain RC step response only rises: a falling-crossing stop on it
+  // must never fire, however often the rising edge passes the level.
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId out = c.node("out");
+  c.add_vsource(in, kGround, Pwl::ramp(10 * ps, 1 * ps, 0.0, 1.0));
+  c.add_resistor(in, out, 1 * kOhm);
+  c.add_capacitor(out, kGround, 100 * fF);
+  LinearSim sim(c);
+  for (const TransientSpec& spec : {fixed_spec(), adaptive_spec()}) {
+    const TransientResult full = sim.try_run(spec, {out}).value();
+    const TransientResult res =
+        sim.try_run(spec, {out}, CrossingStop{out, 0.5, false}).value();
+    EXPECT_EQ(res.time(), full.time());
+    EXPECT_EQ(values(res.waveform(out)), values(full.waveform(out)));
+    EXPECT_GE(res.time().back(), spec.t_stop - 1e-6 * spec.dt);
+  }
+}
+
+TEST(LinearSimStop, NeverCrossingRunsToTStop) {
+  const Ladder l = pulse_ladder();
+  LinearSim sim(l.c);
+  const NodeId node = l.line.back();
+  for (const TransientSpec& spec : {fixed_spec(), adaptive_spec()}) {
+    const TransientResult full = sim.try_run(spec, {node}).value();
+    for (const bool rising : {true, false}) {
+      const TransientResult res =
+          sim.try_run(spec, {node}, CrossingStop{node, 1.5, rising}).value();
+      EXPECT_EQ(res.time(), full.time());
+      EXPECT_EQ(values(res.waveform(node)), values(full.waveform(node)));
+      EXPECT_GE(res.time().back(), spec.t_stop - 1e-6 * spec.dt);
+    }
+  }
 }
 
 }  // namespace

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/composite_pulse.hpp"
 #include "rcnet/random_nets.hpp"
+#include "util/metrics.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -80,6 +84,52 @@ TEST(Rtr, DiagnosticWaveformsArePopulated) {
   // a falling aggressor on a rising victim).
   EXPECT_LT(r.vn_linear.peak().value, 0.0);
   EXPECT_LT(r.vn_nonlinear.peak().value, 0.0);
+}
+
+TEST(Rtr, MemoizedDriverSimKeepsEveryBit) {
+  // The second compute_rtr on an engine reuses the V1 driver sim the
+  // first one ran; its result must equal, bit for bit, a call on a fresh
+  // engine that simulates V1 itself — with and without warm starts.
+  const CoupledNet net = slow_victim_net();
+  for (const bool warm : {true, false}) {
+    RtrOptions opts;
+    opts.warm_start = warm;
+    SuperpositionEngine used(net);
+    compute_rtr(used, shifts_for_level(used, 0.3), opts);
+    const std::vector<double> shifts = shifts_for_level(used, 0.6);
+    const obs::Counter& hits = obs::metrics().counter("sim.warm_start.hits");
+    obs::set_metrics_enabled(true);
+    const std::uint64_t hits0 = hits.value();
+    const RtrResult memo = compute_rtr(used, shifts, opts);
+    obs::set_metrics_enabled(false);
+    // Every V2 sim, the first included, starts from a warm DC state.
+    EXPECT_EQ(hits.value() - hits0,
+              warm ? static_cast<std::uint64_t>(memo.iterations) : 0u);
+    SuperpositionEngine fresh(net);
+    const RtrResult ref =
+        compute_rtr(fresh, shifts_for_level(fresh, 0.6), opts);
+    EXPECT_EQ(memo.rtr, ref.rtr);
+    EXPECT_EQ(memo.iterations, ref.iterations);
+    EXPECT_EQ(memo.vn_nonlinear.times().size(),
+              ref.vn_nonlinear.times().size());
+    EXPECT_TRUE(std::equal(memo.vn_nonlinear.values().begin(),
+                           memo.vn_nonlinear.values().end(),
+                           ref.vn_nonlinear.values().begin(),
+                           ref.vn_nonlinear.values().end()));
+  }
+}
+
+TEST(Rtr, DriverResponseIsCachedPerSpec) {
+  SuperpositionEngine eng(slow_victim_net());
+  TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
+  const auto& a = eng.victim_driver_response(spec);
+  EXPECT_EQ(&a, &eng.victim_driver_response(spec));
+  EXPECT_FALSE(a.dc.empty());
+  spec.stale_jacobian_iters = 0;
+  const auto& b = eng.victim_driver_response(spec);
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(&a, &eng.victim_driver_response({0.0, eng.options().horizon,
+                                             eng.options().dt}));
 }
 
 TEST(Rtr, ConvergesWithinBudget) {
