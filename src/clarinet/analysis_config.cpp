@@ -1,255 +1,322 @@
 #include "clarinet/analysis_config.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
+#include "matrix/solver.hpp"
 #include "util/units.hpp"
 
 namespace dn {
 
 namespace {
 
-Status range_error(const char* key, const char* constraint) {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The fields one key sets. They share one type and one default, so a
+/// key never overwrites another key's field and keys apply in any order;
+/// to_json reads the first.
+using Fields = std::variant<std::vector<bool*>, std::vector<int*>,
+                            std::vector<double*>, std::vector<SolverBackend*>>;
+
+template <class T, class... More>
+Fields refs(T* first, More*... more) {
+  static_assert((std::is_same_v<T, More> && ...), "one type per key");
+  return std::vector<T*>{first, more...};
+}
+
+template <class V>
+using FieldType = std::remove_pointer_t<typename std::decay_t<V>::value_type>;
+
+struct Key {
+  const char* name;
+  const char* flag = nullptr;  // CLI spelling; nullptr: no flag.
+  const char* arg = nullptr;   // The flag's value; nullptr: a bare switch.
+  double unit = 1.0;           // Field = JSON value * unit (ps, ns or 1).
+  bool negated = false;        // The bool field holds the key's negation.
+  double lo = -kInf;           // Valid numbers, in the JSON unit: [lo, hi],
+  double hi = kInf;            // or (lo, hi] when lo_open.
+  bool lo_open = false;
+  bool scheduling = false;     // Changes how work runs, never its results.
+  const char* help = "";
+  Fields (*fields)(BatchOptions&, AnalyzerConfig&);
+};
+
+// Every key, in to_json order. `fields` takes (BatchOptions, AnalyzerConfig).
+const Key kKeys[] = {
+    {.name = "jobs", .flag = "--jobs", .arg = "N", .lo = 0, .scheduling = true,
+     .help = "worker threads (0 = one per core)",
+     .fields = [](auto& b, auto&) { return refs(&b.jobs); }},
+    {.name = "top_k", .flag = "--top", .arg = "K", .lo = 0, .scheduling = true,
+     .help = "size of the worst-nets ranking",
+     .fields = [](auto& b, auto&) { return refs(&b.top_k); }},
+    {.name = "screen_below_ps", .flag = "--screen-below", .arg = "PS",
+     .unit = units::ps, .help = "screen out nets estimated < PS (<0 = off)",
+     .fields = [](auto& b, auto&) { return refs(&b.screen_threshold); }},
+    {.name = "screen_vn_below_v",
+     .help = "screen out nets with noise peak est. < V (<0 = off)",
+     .fields = [](auto& b, auto&) { return refs(&b.screen_vn_threshold); }},
+    {.name = "fidelity_ladder", .help = "tiered screening ladder on",
+     .fields = [](auto& b, auto&) { return refs(&b.ladder.enabled); }},
+    {.name = "fidelity_threshold_ps", .flag = "--fidelity-threshold",
+     .arg = "PS", .unit = units::ps, .lo = 0, .help = "ladder prune threshold",
+     .fields = [](auto& b, auto&) { return refs(&b.ladder.dn_threshold); }},
+    {.name = "fidelity_margin", .flag = "--fidelity-margin", .arg = "F",
+     .lo = 1, .help = "tier-1 safety margin (>= 1)",
+     .fields = [](auto& b, auto&) { return refs(&b.ladder.tier1_margin); }},
+    {.name = "fidelity_max_tier", .lo = 0, .hi = 2,
+     .help = "highest ladder tier to run (2 = full)",
+     .fields = [](auto& b, auto&) { return refs(&b.ladder.max_tier); }},
+    {.name = "window_pruning",
+     .help = "drop aggressors outside their switching windows",
+     .fields = [](auto&, auto& a) { return refs(&a.analysis.window_pruning); }},
+    {.name = "max_retries", .flag = "--max-retries", .arg = "N", .lo = 0,
+     .scheduling = true, .help = "re-run transiently failed nets up to N times",
+     .fields = [](auto& b, auto&) { return refs(&b.max_retries); }},
+    {.name = "retry_backoff_ms", .lo = 0, .scheduling = true,
+     .help = "base backoff before a retry",
+     .fields = [](auto& b, auto&) { return refs(&b.retry_backoff_ms); }},
+    {.name = "deadline_ms", .flag = "--deadline-ms", .arg = "MS",
+     .scheduling = true, .help = "wall-clock budget of the run (<0 = none)",
+     .fields = [](auto& b, auto&) { return refs(&b.deadline_ms); }},
+    {.name = "exhaustive", .flag = "--exhaustive", .negated = true,
+     .help = "exhaustive alignment search (no 8-pt tables)",
+     .fields = [](auto&, auto& a) { return refs(&a.use_prediction_tables); }},
+    {.name = "thevenin", .flag = "--thevenin", .negated = true,
+     .help = "traditional Thevenin holding (no Rtr)",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.analysis.use_transient_holding);
+     }},
+    {.name = "prereduce", .flag = "--prereduce",
+     .help = "TICER-prereduce nets before analysis",
+     .fields = [](auto&, auto& a) { return refs(&a.engine.prereduce); }},
+    // One backend for every sim family.
+    {.name = "solver", .flag = "--solver", .arg = "auto|dense|sparse",
+     .help = "linear-solver backend",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.solver.backend, &a.engine.ceff.solver.backend,
+                   &a.engine.newton.solver.backend);
+     }},
+    {.name = "dt_ps", .unit = units::ps, .lo = 0, .lo_open = true,
+     .help = "reference time step",
+     .fields = [](auto&, auto& a) { return refs(&a.engine.dt); }},
+    {.name = "horizon_ns", .unit = units::ns, .help = "simulated time span",
+     .fields = [](auto&, auto& a) { return refs(&a.engine.horizon); }},
+    {.name = "model_alignment_iterations", .lo = 1, .hi = 16,
+     .help = "outer Rtr/alignment fix-point passes",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.analysis.model_alignment_iterations);
+     }},
+    {.name = "rtr_max_iterations", .lo = 1, .help = "Rtr extraction passes",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.analysis.rtr.max_iterations);
+     }},
+    {.name = "newton_max_iterations", .lo = 1,
+     .help = "Newton iterations per time step",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.newton.max_iterations);
+     }},
+    {.name = "newton_v_tol", .lo = 0, .lo_open = true,
+     .help = "Newton voltage tolerance [V]",
+     .fields = [](auto&, auto& a) { return refs(&a.engine.newton.v_tol); }},
+    // Every adaptive sim family but the Rtr extraction, which measures the
+    // DIFFERENCE of two nearly identical sims and keeps its fixed grid.
+    {.name = "lte_tol", .flag = "--lte-tol", .arg = "V", .lo = 0,
+     .help = "adaptive-step LTE bound [V]; 0 = fixed grid",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.lte_tol, &a.engine.ceff.lte_tol,
+                   &a.engine.ceff.fit.lte_tol, &a.analysis.search.lte_tol,
+                   &a.table_spec.search.lte_tol);
+     }},
+    // The dt growth caps and Jacobian-reuse budgets default differently
+    // per sim family, so each family has its own key.
+    {.name = "max_dt_growth", .flag = "--max-dt-growth", .arg = "F", .lo = 1,
+     .hi = 64, .lo_open = true,
+     .help = "max adaptive-dt growth, superposition sims",
+     .fields = [](auto&, auto& a) { return refs(&a.engine.max_dt_growth); }},
+    {.name = "ceff_max_dt_growth", .lo = 1, .hi = 64, .lo_open = true,
+     .help = "max adaptive-dt growth, Ceff and fit sims",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.ceff.max_dt_growth,
+                   &a.engine.ceff.fit.max_dt_growth);
+     }},
+    {.name = "rtr_max_dt_growth", .lo = 1, .hi = 64, .lo_open = true,
+     .help = "max adaptive-dt growth, Rtr sims",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.analysis.rtr.max_dt_growth);
+     }},
+    {.name = "stale_jacobian_iters", .flag = "--stale-jacobian-iters",
+     .arg = "N", .lo = 0, .hi = 1000,
+     .help = "Jacobian reuse, superposition sims; 0 = off",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.newton.stale_jacobian_iters);
+     }},
+    {.name = "search_stale_jacobian_iters", .lo = -1, .hi = 1000,
+     .help = "Jacobian reuse, fit/search/Rtr; -1 = inherit",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.ceff.fit.stale_jacobian_iters,
+                   &a.analysis.search.stale_jacobian_iters,
+                   &a.table_spec.search.stale_jacobian_iters,
+                   &a.analysis.rtr.stale_jacobian_iters);
+     }},
+    {.name = "warm_start", .flag = "--warm-start", .arg = "0|1",
+     .help = "reuse DC operating points across sims",
+     .fields = [](auto&, auto& a) {
+       return refs(&a.engine.warm_start, &a.engine.ceff.warm_start,
+                   &a.analysis.search.warm_start,
+                   &a.table_spec.search.warm_start, &a.analysis.rtr.warm_start);
+     }},
+};
+
+// The config flags outside the table: a file of keys, and the one flag
+// that sets two keys.
+constexpr std::string_view kConfigFlag = "--config";
+constexpr std::string_view kFidelityFlag = "--fidelity";
+
+const Key* find_key(std::string_view name) {
+  for (const Key& k : kKeys)
+    if (name == k.name) return &k;
+  return nullptr;
+}
+
+/// The key's JSON value converted to its fields' type.
+template <class T>
+StatusOr<T> decode(const Key& k, const json::Value& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    StatusOr<bool> r = v.require_bool(k.name);
+    if (!r.ok()) return r.status();
+    return *r != k.negated;
+  } else if constexpr (std::is_same_v<T, int>) {
+    return v.require_int(k.name);
+  } else if constexpr (std::is_same_v<T, double>) {
+    StatusOr<double> r = v.require_number(k.name);
+    if (!r.ok()) return r.status();
+    // A negative time (ps/ns key) means "off" and is stored as -1.
+    return k.unit != 1.0 && *r < 0 ? -1.0 : *r * k.unit;
+  } else {
+    StatusOr<std::string> r = v.require_string(k.name);
+    if (!r.ok()) return r.status();
+    return parse_solver_backend(*r);
+  }
+}
+
+template <class T>
+json::Value encode(const Key& k, T field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return field != k.negated;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return k.unit != 1.0 && field < 0 ? -1.0 : field / k.unit;
+  } else if constexpr (std::is_same_v<T, SolverBackend>) {
+    return solver_backend_name(field);
+  } else {
+    return field;
+  }
+}
+
+Status write_key(const Key& k, const json::Value& v, BatchOptions& b) {
+  return std::visit(
+      [&](const auto& targets) -> Status {
+        using T = FieldType<decltype(targets)>;
+        StatusOr<T> value = decode<T>(k, v);
+        if (!value.ok()) return value.status();
+        for (T* t : targets) *t = *value;
+        return Status::Ok();
+      },
+      k.fields(b, b.analyzer));
+}
+
+json::Value read_key(const Key& k, const BatchOptions& b) {
+  // fields() only takes addresses; nothing is written through them here.
+  BatchOptions& any = const_cast<BatchOptions&>(b);
+  return std::visit(
+      [&](const auto& targets) { return encode(k, *targets.front()); },
+      k.fields(any, any.analyzer));
+}
+
+json::Value dump_keys(const BatchOptions& b, bool with_scheduling) {
+  json::Object o;
+  for (const Key& k : kKeys)
+    if (with_scheduling || !k.scheduling) o[k.name] = read_key(k, b);
+  return json::Value(std::move(o));
+}
+
+Status check_range(const Key& k, double v) {
+  if ((k.lo_open ? v > k.lo : v >= k.lo) && v <= k.hi) return Status::Ok();
   std::ostringstream os;
-  os << "config: " << key << " " << constraint;
+  os << "config: " << k.name << " must be ";
+  if (k.hi == kInf)
+    os << (k.lo_open ? "> " : ">= ") << k.lo;
+  else
+    os << "in " << (k.lo_open ? '(' : '[') << k.lo << ", " << k.hi << ']';
   return Status::InvalidArgument(os.str());
 }
 
-Status set_int(const json::Value& v, const char* what, int& out) {
-  StatusOr<int> r = v.require_int(what);
-  if (!r.ok()) return r.status();
-  out = *r;
-  return Status::Ok();
+Status bad_flag_value(std::string_view flag, std::string_view text,
+                      const char* expected) {
+  return Status::InvalidArgument(std::string(flag) + ": expected " + expected +
+                                 ", got \"" + std::string(text) + "\"");
 }
 
-Status set_num(const json::Value& v, const char* what, double& out) {
-  StatusOr<double> r = v.require_number(what);
-  if (!r.ok()) return r.status();
-  out = *r;
-  return Status::Ok();
+/// The argument after the first `flag` in `args`, nullptr when absent.
+/// apply_flags has already rejected a value flag in last place.
+const std::string* flag_value(const std::vector<std::string>& args,
+                              std::string_view flag) {
+  const auto it = std::find(args.begin(), args.end(), flag);
+  return it == args.end() ? nullptr : &*(it + 1);
 }
 
-Status set_bool(const json::Value& v, const char* what, bool& out) {
-  StatusOr<bool> r = v.require_bool(what);
-  if (!r.ok()) return r.status();
-  out = *r;
-  return Status::Ok();
-}
-
-/// Applies ONE key to `cfg`. Shared by apply() so every entry point —
-/// CLI flags, `--config` files, server `config` requests — hits the same
-/// key names, types, and conversions.
-Status apply_key(AnalysisConfig& cfg, const std::string& key,
-                 const json::Value& v) {
-  using namespace dn::units;
-  BatchOptions& b = cfg.batch;
-  AnalyzerConfig& a = b.analyzer;
-  if (key == "jobs") return set_int(v, "jobs", b.jobs);
-  if (key == "top_k") return set_int(v, "top_k", b.top_k);
-  if (key == "screen_below_ps") {
-    double ps_v = 0;
-    Status s = set_num(v, "screen_below_ps", ps_v);
-    if (s.ok()) b.screen_threshold = ps_v < 0 ? -1.0 : ps_v * ps;
-    return s;
-  }
-  if (key == "screen_vn_below_v")
-    return set_num(v, "screen_vn_below_v", b.screen_vn_threshold);
-  if (key == "fidelity_ladder")
-    return set_bool(v, "fidelity_ladder", b.ladder.enabled);
-  if (key == "fidelity_threshold_ps") {
-    double ps_v = 0;
-    Status s = set_num(v, "fidelity_threshold_ps", ps_v);
-    if (s.ok()) b.ladder.dn_threshold = ps_v * ps;
-    return s;
-  }
-  if (key == "fidelity_margin")
-    return set_num(v, "fidelity_margin", b.ladder.tier1_margin);
-  if (key == "fidelity_max_tier")
-    return set_int(v, "fidelity_max_tier", b.ladder.max_tier);
-  if (key == "window_pruning")
-    return set_bool(v, "window_pruning", a.analysis.window_pruning);
-  if (key == "max_retries") return set_int(v, "max_retries", b.max_retries);
-  if (key == "retry_backoff_ms")
-    return set_num(v, "retry_backoff_ms", b.retry_backoff_ms);
-  if (key == "deadline_ms") return set_num(v, "deadline_ms", b.deadline_ms);
-  if (key == "exhaustive") {
-    bool exhaustive = false;
-    Status s = set_bool(v, "exhaustive", exhaustive);
-    if (s.ok()) a.use_prediction_tables = !exhaustive;
-    return s;
-  }
-  if (key == "thevenin") {
-    bool thevenin = false;
-    Status s = set_bool(v, "thevenin", thevenin);
-    if (s.ok()) a.analysis.use_transient_holding = !thevenin;
-    return s;
-  }
-  if (key == "prereduce") return set_bool(v, "prereduce", a.engine.prereduce);
-  if (key == "solver") {
-    StatusOr<std::string> name = v.require_string("solver");
-    if (!name.ok()) return name.status();
-    StatusOr<SolverBackend> backend = parse_solver_backend(*name);
-    if (!backend.ok()) return backend.status();
-    // One backend rules every sim: the superposition transients, the Ceff
-    // inner sims, and the Newton solves of the nonlinear reference.
-    a.engine.solver.backend = *backend;
-    a.engine.ceff.solver.backend = *backend;
-    a.engine.newton.solver.backend = *backend;
-    return Status::Ok();
-  }
-  if (key == "dt_ps") {
-    double dt_ps = 0;
-    Status s = set_num(v, "dt_ps", dt_ps);
-    if (s.ok()) a.engine.dt = dt_ps * ps;
-    return s;
-  }
-  if (key == "horizon_ns") {
-    double horizon_ns = 0;
-    Status s = set_num(v, "horizon_ns", horizon_ns);
-    if (s.ok()) a.engine.horizon = horizon_ns * ns;
-    return s;
-  }
-  if (key == "model_alignment_iterations")
-    return set_int(v, "model_alignment_iterations",
-                   a.analysis.model_alignment_iterations);
-  if (key == "rtr_max_iterations")
-    return set_int(v, "rtr_max_iterations", a.analysis.rtr.max_iterations);
-  if (key == "newton_max_iterations")
-    return set_int(v, "newton_max_iterations", a.engine.newton.max_iterations);
-  if (key == "newton_v_tol")
-    return set_num(v, "newton_v_tol", a.engine.newton.v_tol);
-  if (key == "lte_tol") {
-    double tol = 0;
-    Status s = set_num(v, "lte_tol", tol);
-    if (!s.ok()) return s;
-    // One LTE bound rules every adaptive sim: the superposition
-    // transients, the Ceff inner sims, the Thevenin-fit reference, and
-    // the alignment-search receiver probes. The Rtr extraction keeps its
-    // own tighter bound (RtrOptions.lte_tol): it measures the DIFFERENCE
-    // of two nearly identical waveforms and must not be loosened by a
-    // flow-level knob. 0 disables adaptivity everywhere (fixed dt grid).
-    a.engine.lte_tol = tol;
-    a.engine.ceff.lte_tol = tol;
-    a.engine.ceff.fit.lte_tol = tol;
-    a.analysis.search.lte_tol = tol;
-    a.table_spec.search.lte_tol = tol;
-    // analysis.rtr.lte_tol is NOT fanned out: the Rtr extraction measures
-    // the difference of two sims and stays on the fixed grid regardless.
-    return Status::Ok();
-  }
-  if (key == "max_dt_growth") {
-    double growth = 0;
-    Status s = set_num(v, "max_dt_growth", growth);
-    if (!s.ok()) return s;
-    a.engine.max_dt_growth = growth;
-    a.engine.ceff.max_dt_growth = growth;
-    a.engine.ceff.fit.max_dt_growth = growth;
-    a.analysis.rtr.max_dt_growth = growth;
-    return Status::Ok();
-  }
-  // Per-family overrides for the fanned-out knobs above. The defaults
-  // differ between families (the Ceff inner sims regrow at 4x where the
-  // superposition engine allows 32x; the search/fit sims inherit their
-  // NewtonOptions stale budget where the engine pins 16), so the flow
-  // key alone cannot reconstruct a config exactly. to_json emits these
-  // AFTER the flow key; apply_key runs in document order, so a dumped
-  // config round-trips bit-exactly — the invariant the server's
-  // snapshot/recovery path depends on for byte-identical re-analysis.
-  if (key == "ceff_max_dt_growth") {
-    double growth = 0;
-    Status s = set_num(v, "ceff_max_dt_growth", growth);
-    if (!s.ok()) return s;
-    a.engine.ceff.max_dt_growth = growth;
-    a.engine.ceff.fit.max_dt_growth = growth;
-    return Status::Ok();
-  }
-  if (key == "rtr_max_dt_growth")
-    return set_num(v, "rtr_max_dt_growth", a.analysis.rtr.max_dt_growth);
-  if (key == "stale_jacobian_iters") {
-    // One flow-level knob (like lte_tol): every nonlinear sim family.
-    Status s = set_int(v, "stale_jacobian_iters",
-                       a.engine.newton.stale_jacobian_iters);
-    if (!s.ok()) return s;
-    const int n = a.engine.newton.stale_jacobian_iters;
-    a.engine.ceff.fit.stale_jacobian_iters = n;
-    a.analysis.search.stale_jacobian_iters = n;
-    a.table_spec.search.stale_jacobian_iters = n;
-    a.analysis.rtr.stale_jacobian_iters = n;
-    return Status::Ok();
-  }
-  if (key == "search_stale_jacobian_iters") {
-    // One override for the four spec-level budgets: apply() is the only
-    // writer of a served config, and it always moves them in lockstep,
-    // so a single representative key reconstructs all of them.
-    int n = 0;
-    Status s = set_int(v, "search_stale_jacobian_iters", n);
-    if (!s.ok()) return s;
-    a.engine.ceff.fit.stale_jacobian_iters = n;
-    a.analysis.search.stale_jacobian_iters = n;
-    a.table_spec.search.stale_jacobian_iters = n;
-    a.analysis.rtr.stale_jacobian_iters = n;
-    return Status::Ok();
-  }
-  if (key == "warm_start") {
-    bool warm = true;
-    Status s = set_bool(v, "warm_start", warm);
-    if (!s.ok()) return s;
-    a.engine.warm_start = warm;
-    a.engine.ceff.warm_start = warm;
-    a.analysis.search.warm_start = warm;
-    a.table_spec.search.warm_start = warm;
-    a.analysis.rtr.warm_start = warm;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("config: unknown key \"" + key + "\"");
+/// A config flag's argument as its key's JSON value.
+StatusOr<json::Value> flag_json(const Key& k, const std::string& text,
+                                BatchOptions& b) {
+  return std::visit(
+      [&](const auto& targets) -> StatusOr<json::Value> {
+        using T = FieldType<decltype(targets)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (text != "0" && text != "1")
+            return bad_flag_value(k.flag, text, "0 or 1");
+          return json::Value(text == "1");
+        } else if constexpr (std::is_arithmetic_v<T>) {
+          StatusOr<T> x = parse_flag<T>(k.flag, text);
+          if (!x.ok()) return x.status();
+          return json::Value(*x);
+        } else {
+          return json::Value(text);
+        }
+      },
+      k.fields(b, b.analyzer));
 }
 
 }  // namespace
 
+template <class T>
+StatusOr<T> parse_flag(std::string_view flag, std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(double(v)))
+    return bad_flag_value(flag, text,
+                          std::is_integral_v<T> ? "an integer" : "a number");
+  return v;
+}
+
+template StatusOr<int> parse_flag(std::string_view, std::string_view);
+template StatusOr<double> parse_flag(std::string_view, std::string_view);
+
 Status AnalysisConfig::validate() const {
-  const BatchOptions& b = batch;
-  const AnalyzerConfig& a = b.analyzer;
-  if (b.jobs < 0) return range_error("jobs", "must be >= 0 (0 = auto)");
-  if (b.top_k < 0) return range_error("top_k", "must be >= 0");
-  if (b.max_retries < 0) return range_error("max_retries", "must be >= 0");
-  if (b.retry_backoff_ms < 0)
-    return range_error("retry_backoff_ms", "must be >= 0");
-  if (!(b.ladder.dn_threshold >= 0))
-    return range_error("fidelity_threshold_ps", "must be >= 0");
-  if (!(b.ladder.tier1_margin >= 1.0))
-    return range_error("fidelity_margin", "must be >= 1 (conservatism)");
-  if (b.ladder.max_tier < 0 || b.ladder.max_tier > 2)
-    return range_error("fidelity_max_tier", "must be in [0, 2]");
-  if (!(a.engine.dt > 0)) return range_error("dt_ps", "must be > 0");
-  if (!(a.engine.horizon > a.engine.dt))
-    return range_error("horizon_ns", "must exceed the time step dt_ps");
-  if (a.analysis.model_alignment_iterations < 1 ||
-      a.analysis.model_alignment_iterations > 16)
-    return range_error("model_alignment_iterations", "must be in [1, 16]");
-  if (a.analysis.rtr.max_iterations < 1)
-    return range_error("rtr_max_iterations", "must be >= 1");
-  if (a.engine.newton.max_iterations < 1)
-    return range_error("newton_max_iterations", "must be >= 1");
-  if (!(a.engine.newton.v_tol > 0))
-    return range_error("newton_v_tol", "must be > 0");
-  if (!(a.engine.lte_tol >= 0))
-    return range_error("lte_tol", "must be >= 0 (0 = fixed step)");
-  if (!(a.engine.max_dt_growth > 1.0) || a.engine.max_dt_growth > 64.0)
-    return range_error("max_dt_growth", "must be in (1, 64]");
-  if (!(a.engine.ceff.max_dt_growth > 1.0) ||
-      a.engine.ceff.max_dt_growth > 64.0)
-    return range_error("ceff_max_dt_growth", "must be in (1, 64]");
-  if (!(a.analysis.rtr.max_dt_growth > 1.0) ||
-      a.analysis.rtr.max_dt_growth > 64.0)
-    return range_error("rtr_max_dt_growth", "must be in (1, 64]");
-  if (a.engine.newton.stale_jacobian_iters < 0 ||
-      a.engine.newton.stale_jacobian_iters > 1000)
-    return range_error("stale_jacobian_iters",
-                       "must be in [0, 1000] (0 = full Newton)");
-  if (a.engine.ceff.fit.stale_jacobian_iters < -1 ||
-      a.engine.ceff.fit.stale_jacobian_iters > 1000)
-    return range_error("search_stale_jacobian_iters",
-                       "must be in [-1, 1000] (-1 = inherit the sim's "
-                       "Newton budget, 0 = full Newton)");
+  for (const Key& k : kKeys) {
+    const json::Value v = read_key(k, batch);
+    if (!v.is_number()) continue;
+    if (Status s = check_range(k, v.as_number()); !s.ok()) return s;
+  }
+  const SuperpositionOptions& e = batch.analyzer.engine;
+  if (!(e.horizon > e.dt))
+    return Status::InvalidArgument(
+        "config: horizon_ns must exceed the time step dt_ps");
   return Status::Ok();
 }
 
@@ -259,11 +326,51 @@ Status AnalysisConfig::apply(const json::Value& v) {
                                    std::string(json::type_name(v.type())));
   // Strong guarantee: stage the merge, validate, then commit.
   AnalysisConfig staged = *this;
-  for (const auto& [key, value] : v.as_object()) {
-    Status s = apply_key(staged, key, value);
+  for (const auto& [name, value] : v.as_object()) {
+    const Key* k = find_key(name);
+    if (!k)
+      return Status::InvalidArgument("config: unknown key \"" + name + "\"");
+    Status s = write_key(*k, value, staged.batch);
     if (!s.ok()) return s;
   }
   Status s = staged.validate();
+  if (!s.ok()) return s;
+  *this = std::move(staged);
+  return Status::Ok();
+}
+
+Status AnalysisConfig::apply_flags(const std::vector<std::string>& args) {
+  if (!args.empty() && is_value_flag(args.back()))
+    return Status::InvalidArgument(args.back() + " needs a value");
+  AnalysisConfig staged = *this;
+  if (const std::string* path = flag_value(args, kConfigFlag)) {
+    std::ifstream is(*path);
+    if (!is) return Status::NotFound("cannot read config file " + *path);
+    std::ostringstream text;
+    text << is.rdbuf();
+    StatusOr<json::Value> doc = json::parse(text.str());
+    if (!doc.ok()) return doc.status();
+    if (Status s = staged.apply(*doc); !s.ok()) return s;
+  }
+  if (const std::string* f = flag_value(args, kFidelityFlag)) {
+    if (*f != "off" && *f != "0" && *f != "1" && *f != "2")
+      return bad_flag_value(kFidelityFlag, *f, "off, 0, 1, or 2");
+    staged.batch.ladder.enabled = *f != "off";
+    if (*f != "off") staged.batch.ladder.max_tier = (*f)[0] - '0';
+  }
+  json::Object keys;
+  for (const Key& k : kKeys) {
+    if (!k.flag) continue;
+    if (!k.arg) {
+      if (std::find(args.begin(), args.end(), k.flag) != args.end())
+        keys[k.name] = true;
+    } else if (const std::string* text = flag_value(args, k.flag)) {
+      StatusOr<json::Value> value = flag_json(k, *text, staged.batch);
+      if (!value.ok()) return value.status();
+      keys[k.name] = *value;
+    }
+  }
+  Status s = staged.apply(json::Value(std::move(keys)));
   if (!s.ok()) return s;
   *this = std::move(staged);
   return Status::Ok();
@@ -282,48 +389,38 @@ StatusOr<AnalysisConfig> AnalysisConfig::from_json(std::string_view text) {
   return from_json(*v);
 }
 
-json::Value AnalysisConfig::to_json() const {
-  using namespace dn::units;
-  const BatchOptions& b = batch;
-  const AnalyzerConfig& a = b.analyzer;
-  json::Object o;
-  o["jobs"] = b.jobs;
-  o["top_k"] = b.top_k;
-  o["screen_below_ps"] =
-      b.screen_threshold < 0 ? -1.0 : b.screen_threshold / ps;
-  o["screen_vn_below_v"] = b.screen_vn_threshold;
-  o["fidelity_ladder"] = b.ladder.enabled;
-  o["fidelity_threshold_ps"] = b.ladder.dn_threshold / ps;
-  o["fidelity_margin"] = b.ladder.tier1_margin;
-  o["fidelity_max_tier"] = b.ladder.max_tier;
-  o["window_pruning"] = a.analysis.window_pruning;
-  o["max_retries"] = b.max_retries;
-  o["retry_backoff_ms"] = b.retry_backoff_ms;
-  o["deadline_ms"] = b.deadline_ms;
-  o["exhaustive"] = !a.use_prediction_tables;
-  o["thevenin"] = !a.analysis.use_transient_holding;
-  o["prereduce"] = a.engine.prereduce;
-  o["solver"] = solver_backend_name(a.engine.solver.backend);
-  o["dt_ps"] = a.engine.dt / ps;
-  o["horizon_ns"] = a.engine.horizon / ns;
-  o["model_alignment_iterations"] = a.analysis.model_alignment_iterations;
-  o["rtr_max_iterations"] = a.analysis.rtr.max_iterations;
-  o["newton_max_iterations"] = a.engine.newton.max_iterations;
-  o["newton_v_tol"] = a.engine.newton.v_tol;
-  o["lte_tol"] = a.engine.lte_tol;
-  // Flow key first, per-family overrides second: apply_key consumes
-  // keys in document order, so this ordering makes the dump reconstruct
-  // every fanned-out field exactly even though the families default
-  // differently.
-  o["max_dt_growth"] = a.engine.max_dt_growth;
-  o["ceff_max_dt_growth"] = a.engine.ceff.max_dt_growth;
-  o["rtr_max_dt_growth"] = a.analysis.rtr.max_dt_growth;
-  o["stale_jacobian_iters"] = a.engine.newton.stale_jacobian_iters;
-  o["search_stale_jacobian_iters"] = a.engine.ceff.fit.stale_jacobian_iters;
-  o["warm_start"] = a.engine.warm_start;
-  return json::Value(std::move(o));
-}
+json::Value AnalysisConfig::to_json() const { return dump_keys(batch, true); }
 
 std::string AnalysisConfig::to_json_text() const { return to_json().dump(); }
+
+std::string AnalysisConfig::result_fingerprint() const {
+  return dump_keys(batch, false).dump();
+}
+
+bool AnalysisConfig::is_value_flag(std::string_view arg) {
+  return arg == kConfigFlag || arg == kFidelityFlag ||
+         std::any_of(std::begin(kKeys), std::end(kKeys), [&](const Key& k) {
+           return k.flag && k.arg && arg == k.flag;
+         });
+}
+
+std::string AnalysisConfig::flags_usage() {
+  std::ostringstream os;
+  const auto line = [&os](std::string column, const char* help) {
+    column.resize(std::max<std::size_t>(column.size() + 2, 29), ' ');
+    os << "       " << column << help << "\n";
+  };
+  line("[" + std::string(kConfigFlag) + " FILE]", "JSON object of the keys");
+  line("[" + std::string(kFidelityFlag) + " off|0|1|2]",
+       "tiered screening ladder: max tier (2 = full)");
+  for (const Key& k : kKeys) {
+    const std::string arg = k.arg ? std::string(" ") + k.arg : "";
+    if (k.flag) line(std::string("[") + k.flag + arg + "]", k.help);
+  }
+  os << "  keys without a flag (--config FILE or the server config verb):\n";
+  for (const Key& k : kKeys)
+    if (!k.flag) line(k.name, k.help);
+  return os.str();
+}
 
 }  // namespace dn

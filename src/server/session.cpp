@@ -17,27 +17,6 @@ namespace dn::server {
 
 namespace {
 
-/// The config keys that change ANALYSIS RESULTS (as opposed to
-/// scheduling: jobs, retries, deadlines, ranking depth). A config change
-/// dirties every victim iff this fingerprint changes.
-std::string analysis_fingerprint(const AnalysisConfig& cfg) {
-  const json::Value all = cfg.to_json();
-  static constexpr const char* kKeys[] = {
-      "screen_below_ps",   "screen_vn_below_v",
-      "fidelity_ladder",   "fidelity_threshold_ps",
-      "fidelity_margin",   "fidelity_max_tier",
-      "window_pruning",
-      "exhaustive",        "thevenin",
-      "prereduce",         "solver",
-      "dt_ps",             "horizon_ns",
-      "model_alignment_iterations", "rtr_max_iterations",
-      "newton_max_iterations",      "newton_v_tol"};
-  json::Object subset;
-  for (const char* key : kKeys)
-    if (const json::Value* v = all.find(key)) subset[key] = *v;
-  return json::Value(std::move(subset)).dump();
-}
-
 /// Clears a per-request fault spec on every exit path, including the
 /// throw-to-Status unwind in handle_line.
 struct FaultGuard {
@@ -673,12 +652,12 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
 
 Status Session::verb_config(const json::Value& req, json::Object& result) {
   if (const json::Value* set = req.find("set")) {
-    const std::string before = analysis_fingerprint(cfg_);
+    const std::string before = cfg_.result_fingerprint();
     Status s = cfg_.apply(*set);
     if (!s.ok()) return s;
     // Scheduling keys (jobs, retries, top_k...) don't change results;
-    // analysis keys do — and stale slots must not masquerade as current.
-    if (analysis_fingerprint(cfg_) != before) mark_all_dirty();
+    // every other key does, and stale slots must not pass as current.
+    if (cfg_.result_fingerprint() != before) mark_all_dirty();
   }
   result["config"] = cfg_.to_json();
   return Status::Ok();

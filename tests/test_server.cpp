@@ -223,6 +223,42 @@ TEST(ServerSession, SchedulingConfigKeepsResultsSchemaInvalidatesOnEngine) {
             6.0);
 }
 
+TEST(ServerSession, ResultKeyConfigEditMatchesAFreshSessionsColdRun) {
+  // Every non-scheduling key dirties every victim: the incremental report
+  // after a config edit equals a fresh session's cold run under the new
+  // config, byte for byte.
+  const char* kEdits[] = {
+      R"({"lte_tol":1e-3})", R"({"max_dt_growth":8})",
+      R"({"ceff_max_dt_growth":16})", R"({"stale_jacobian_iters":0})",
+      R"({"search_stale_jacobian_iters":0})"};
+  const std::string load = load_line(5, 4, 1);
+  int moved = 0;
+  for (const char* edit : kEdits) {
+    SCOPED_TRACE(edit);
+    Session a;
+    ASSERT_TRUE(ok(req(a, load)));
+    const json::Value before = req(a, "{\"verb\":\"analyze\"}");
+    ASSERT_TRUE(ok(before));
+    ASSERT_TRUE(ok(req(a, std::string("{\"verb\":\"config\",\"set\":") +
+                              edit + "}")));
+    const json::Value incr = req(a, "{\"verb\":\"analyze\"}");
+    ASSERT_TRUE(ok(incr));
+    EXPECT_EQ(result_of(incr).find("reanalyzed")->as_number(), 4.0);
+
+    StatusOr<AnalysisConfig> cfg =
+        AnalysisConfig::from_json(std::string_view(edit));
+    ASSERT_TRUE(cfg.ok());
+    Session b(*cfg);
+    ASSERT_TRUE(ok(req(b, load)));
+    const json::Value cold = req(b, "{\"verb\":\"analyze\"}");
+    ASSERT_TRUE(ok(cold));
+    EXPECT_EQ(report_bytes(incr), report_bytes(cold));
+    if (report_bytes(before) != report_bytes(cold)) ++moved;
+  }
+  // Not vacuous: some edits move results, so a stale report would show.
+  EXPECT_GE(moved, 3);
+}
+
 TEST(ServerSession, InvalidConfigIsRejectedAndLeavesConfigIntact) {
   Session s;
   const json::Value before = req(s, "{\"verb\":\"config\"}");

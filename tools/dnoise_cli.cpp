@@ -1,62 +1,29 @@
 // dnoise_cli — command-line delay/functional noise analysis of coupled
 // nets described in the SPEF-subset format (see rcnet/spef.hpp for the
-// grammar; examples/spef_flow generates decks).
+// grammar; examples/spef_flow generates decks). Run it with no arguments
+// for the usage text.
 //
-// Single-net mode:
-//   dnoise_cli <file.spef> [options]
-//     --exhaustive       exhaustive alignment search instead of the
-//                        8-point prediction tables
-//     --thevenin         traditional Thevenin holding (no Rtr)
-//     --functional       also run the functional (static victim) check
-//     --golden           cross-check against the full nonlinear simulation
-//     --csv              emit a single CSV result row instead of a report
-//     --json             emit the report as one JSON object
+// Modes:
+//   dnoise_cli <file.spef>              one net: text, --csv or --json
+//                                       report; --golden, --functional
+//   dnoise_cli --batch <file.spef>...   the full-chip engine (or --random N):
+//     nets fan out across workers sharing one characterization cache,
+//     per-net failures are recorded and the run continues, and stdout is
+//     byte-identical for any --jobs value (stats go to stderr).
+//   dnoise_cli --screen <file.spef>...  rank by severity
+//   dnoise_cli --serve                  the resident NDJSON analysis daemon
+//                                       (DESIGN.md §11, §15)
 //
-// Batch mode (the full-chip engine):
-//   dnoise_cli --batch <file.spef>... [--jobs N] [--top K] [--json]
-//   dnoise_cli --batch --random N [--seed S] [--jobs N] [--top K] [--json]
-//     Fans the nets across N workers sharing one characterization cache.
-//     Per-net failures (unreadable/malformed decks, solver errors) are
-//     recorded and the run continues. stdout is byte-identical for any
-//     --jobs value; throughput/cache stats go to stderr.
-//     [--load-cache FILE] preloads characterized alignment tables,
-//     [--save-cache FILE] persists them after the run.
-//
-// Server mode (the resident analysis daemon, DESIGN.md §11):
-//   dnoise_cli --serve [--socket PATH] [--queue-soft N] [--queue-hard N]
-//     Speaks newline-delimited JSON (one request object per line, one
-//     response per line) on stdin/stdout, or on a Unix socket with
-//     --socket. Verbs: ping, load_design, update_net, update_driver,
-//     analyze, config, stats, save_cache, load_cache, shutdown.
-//
-// Configuration (single, batch, and serve modes): every analysis knob is
-// a key of dn::AnalysisConfig. Flags below are shorthand for those keys;
-// --config FILE loads a JSON object of them first (flags win). Flags and
-// server `config` requests share ONE validation path — a bad value is a
-// clean error, never a crash.
-//
-// Screening mode:
-//   dnoise_cli --screen <file.spef>... (rank by severity)
-//
-// Observability (any mode; see DESIGN.md §8):
-//   --profile              per-stage metrics summary on stderr
-//   --metrics-json <file>  full metrics registry as JSON
-//   --trace-out <file>     Chrome/Perfetto trace_event timeline JSON
-//
-// Fault tolerance (see DESIGN.md §10):
-//   --deadline-ms MS       wall-clock budget (batch: whole run; single:
-//                          the one net); expired work reports
-//                          DEADLINE_EXCEEDED instead of hanging
-//   --max-retries N        batch: re-run transiently failed nets up to N times
-//   --prereduce            TICER-prereduce nets before analysis (exercises
-//                          the mor_to_unreduced rung on breakdown)
-//   --inject-faults SPEC   deterministic chaos testing: SPEC is
-//                          "site[:rate],..." with sites
-//                          parse|cache|factor|newton|task|all
-//   --fault-seed N         seed for the injection hash (default 1)
+// Configuration: every analysis knob is a key of dn::AnalysisConfig, and
+// the config flags (--jobs, --lte-tol, ...) come from its key table.
+// --config FILE loads a JSON object of keys first (flags win). Flags and
+// server `config` requests share ONE validation path, and every numeric
+// flag value is parsed strictly: a malformed one exits 2 with
+// INVALID_ARGUMENT.
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -81,52 +48,56 @@ using namespace dn::units;
 
 namespace {
 
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
+bool has_flag(int argc, char** argv, std::string_view name) {
+  return std::find(argv + 1, argv + argc, name) != argv + argc;
 }
 
-int int_flag(int argc, char** argv, const char* name, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
-  return fallback;
-}
-
-double double_flag(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  return fallback;
-}
-
-const char* str_flag(int argc, char** argv, const char* name,
-                     const char* fallback) {
+/// The value after flag `name`, nullptr when absent.
+const char* str_flag(int argc, char** argv, const char* name) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return fallback;
+  return nullptr;
+}
+
+/// A numeric flag's value (T = int or double), or `fallback` when absent.
+/// A malformed value is a usage error; every numeric flag is read before
+/// any work starts, so exiting here loses nothing.
+template <class T>
+T num_flag(int argc, char** argv, const char* name, T fallback) {
+  const char* text = str_flag(argc, argv, name);
+  if (!text) return fallback;
+  const StatusOr<T> v = parse_flag<T>(name, text);
+  if (!v.ok()) {
+    std::fprintf(stderr, "error: %s\n", v.status().to_string().c_str());
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// A count flag's value, raised to at least `floor`.
+std::size_t count_flag(int argc, char** argv, const char* name,
+                       std::size_t fallback, int floor = 0) {
+  return static_cast<std::size_t>(std::max(
+      floor, num_flag(argc, argv, name, static_cast<int>(fallback))));
 }
 
 /// Positional (non-flag) arguments, skipping the values of flags that
 /// take one.
 std::vector<std::string> positional_args(int argc, char** argv) {
   static constexpr const char* kValueFlags[] = {
-      "--jobs",        "--top",        "--random",      "--seed",
-      "--screen-below", "--solver",    "--metrics-json", "--trace-out",
-      "--deadline-ms", "--max-retries", "--inject-faults", "--fault-seed",
-      "--config",      "--socket",     "--queue-soft",  "--queue-hard",
-      "--save-cache",  "--load-cache", "--lte-tol",     "--max-dt-growth",
-      "--stale-jacobian-iters", "--warm-start",
-      "--fidelity",    "--fidelity-threshold", "--fidelity-margin",
-      "--state-dir",   "--fsync",      "--snapshot-every", "--watchdog-ms",
+      "--random",      "--seed",        "--metrics-json", "--trace-out",
+      "--inject-faults", "--fault-seed", "--socket",
+      "--queue-soft",  "--queue-hard",  "--save-cache",   "--load-cache",
+      "--state-dir",   "--fsync",       "--snapshot-every", "--watchdog-ms",
       "--max-request-bytes", "--max-request-nodes", "--max-design-nets"};
   std::vector<std::string> out;
   for (int i = 1; i < argc; ++i) {
     if (argv[i][0] == '-') {
-      for (const char* flag : kValueFlags)
-        if (std::strcmp(argv[i], flag) == 0) {
-          ++i;  // Skip the flag's value.
-          break;
-        }
+      const std::string_view arg = argv[i];
+      if (AnalysisConfig::is_value_flag(arg) ||
+          std::find(std::begin(kValueFlags), std::end(kValueFlags), arg) !=
+              std::end(kValueFlags))
+        ++i;  // Skip the flag's value.
       continue;
     }
     out.emplace_back(argv[i]);
@@ -137,15 +108,11 @@ std::vector<std::string> positional_args(int argc, char** argv) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: dnoise_cli <file.spef> [--exhaustive] [--thevenin]\n"
-      "                  [--functional] [--golden] [--csv] [--json]\n"
-      "       dnoise_cli --batch <file.spef>... [--jobs N] [--top K] [--json]\n"
-      "                  [--screen-below PS] [--load-cache F] [--save-cache F]\n"
-      "                  [--fidelity off|0|1|2]  tiered screening ladder:\n"
-      "                      max tier to run (2 = full verification)\n"
-      "                  [--fidelity-threshold PS] ladder prune threshold\n"
-      "                  [--fidelity-margin F]     tier-1 safety margin\n"
-      "       dnoise_cli --batch --random N [--seed S] [--jobs N] [--top K]\n"
+      "usage: dnoise_cli <file.spef> [--functional] [--golden] [--csv]\n"
+      "                  [--json]\n"
+      "       dnoise_cli --batch <file.spef>... [--json] [--load-cache F]\n"
+      "                  [--save-cache F]\n"
+      "       dnoise_cli --batch --random N [--seed S] [--json]\n"
       "       dnoise_cli --screen <file.spef>... (rank by severity)\n"
       "       dnoise_cli --serve [--socket PATH] [--queue-soft N]\n"
       "                  [--queue-hard N]   (NDJSON analysis daemon)\n"
@@ -159,88 +126,14 @@ int usage() {
       "       [--max-request-bytes N] [--max-request-nodes N]\n"
       "       [--max-design-nets N]   NDJSON per-request limits\n"
       "config (all analysis modes; one validation path):\n"
-      "       [--config FILE]  JSON object of dn::AnalysisConfig keys\n"
-      "       [--solver auto|dense|sparse]  linear-solver backend\n"
-      "transient engine (DESIGN.md §12):\n"
-      "       [--lte-tol V]  adaptive-step LTE bound [V]; 0 = fixed grid\n"
-      "       [--max-dt-growth F]  max per-step growth of the adaptive dt\n"
-      "       [--stale-jacobian-iters N]  modified-Newton reuse budget\n"
-      "                                   (0 = refactor every iteration)\n"
-      "       [--warm-start 0|1]  reuse DC operating points across sims\n"
+      "%s"
       "observability (any mode):\n"
       "       [--profile] [--metrics-json FILE] [--trace-out FILE]\n"
-      "fault tolerance (see DESIGN.md §10):\n"
-      "       [--deadline-ms MS] [--max-retries N] [--prereduce]\n"
+      "fault injection (see DESIGN.md §10):\n"
       "       [--inject-faults site[:rate],...] [--fault-seed N]\n"
-      "       sites: parse|cache|factor|newton|task|all\n");
+      "       sites: parse|cache|factor|newton|task|all\n",
+      AnalysisConfig::flags_usage().c_str());
   return 2;
-}
-
-/// The ONE flag -> configuration path: flags become AnalysisConfig JSON
-/// keys and go through the same from_json/apply validation the server's
-/// `config` verb uses. --config FILE applies first; flags override it.
-StatusOr<AnalysisConfig> config_from_flags(int argc, char** argv) {
-  AnalysisConfig cfg;
-  if (const char* path = str_flag(argc, argv, "--config", nullptr)) {
-    std::ifstream is(path);
-    if (!is)
-      return Status::NotFound(std::string("cannot read config file ") + path);
-    std::ostringstream text;
-    text << is.rdbuf();
-    const std::string body = text.str();
-    StatusOr<AnalysisConfig> loaded =
-        AnalysisConfig::from_json(std::string_view(body));
-    if (!loaded.ok()) return loaded.status();
-    cfg = std::move(*loaded);
-  }
-
-  json::Object flags;
-  if (str_flag(argc, argv, "--jobs", nullptr))
-    flags["jobs"] = int_flag(argc, argv, "--jobs", 0);
-  if (str_flag(argc, argv, "--top", nullptr))
-    flags["top_k"] = int_flag(argc, argv, "--top", 10);
-  if (str_flag(argc, argv, "--screen-below", nullptr))
-    flags["screen_below_ps"] = double_flag(argc, argv, "--screen-below", -1.0);
-  if (const char* fid = str_flag(argc, argv, "--fidelity", nullptr)) {
-    if (std::strcmp(fid, "off") == 0) {
-      flags["fidelity_ladder"] = false;
-    } else if (std::strcmp(fid, "0") == 0 || std::strcmp(fid, "1") == 0 ||
-               std::strcmp(fid, "2") == 0) {
-      flags["fidelity_ladder"] = true;
-      flags["fidelity_max_tier"] = fid[0] - '0';
-    } else {
-      return Status::InvalidArgument(
-          "--fidelity must be off, 0, 1, or 2");
-    }
-  }
-  if (str_flag(argc, argv, "--fidelity-threshold", nullptr))
-    flags["fidelity_threshold_ps"] =
-        double_flag(argc, argv, "--fidelity-threshold", 5.0);
-  if (str_flag(argc, argv, "--fidelity-margin", nullptr))
-    flags["fidelity_margin"] =
-        double_flag(argc, argv, "--fidelity-margin", 3.0);
-  if (str_flag(argc, argv, "--deadline-ms", nullptr))
-    flags["deadline_ms"] = double_flag(argc, argv, "--deadline-ms", -1.0);
-  if (str_flag(argc, argv, "--max-retries", nullptr))
-    flags["max_retries"] = int_flag(argc, argv, "--max-retries", 0);
-  if (const char* solver = str_flag(argc, argv, "--solver", nullptr))
-    flags["solver"] = solver;
-  if (has_flag(argc, argv, "--exhaustive")) flags["exhaustive"] = true;
-  if (has_flag(argc, argv, "--thevenin")) flags["thevenin"] = true;
-  if (has_flag(argc, argv, "--prereduce")) flags["prereduce"] = true;
-  if (str_flag(argc, argv, "--lte-tol", nullptr))
-    flags["lte_tol"] = double_flag(argc, argv, "--lte-tol", 5e-4);
-  if (str_flag(argc, argv, "--max-dt-growth", nullptr))
-    flags["max_dt_growth"] = double_flag(argc, argv, "--max-dt-growth", 2.0);
-  if (str_flag(argc, argv, "--stale-jacobian-iters", nullptr))
-    flags["stale_jacobian_iters"] =
-        int_flag(argc, argv, "--stale-jacobian-iters", 8);
-  if (str_flag(argc, argv, "--warm-start", nullptr))
-    flags["warm_start"] = int_flag(argc, argv, "--warm-start", 1) != 0;
-
-  Status applied = cfg.apply(json::Value(std::move(flags)));
-  if (!applied.ok()) return applied;
-  return cfg;
 }
 
 /// Turns the observability subsystems on per the flags; returns whether
@@ -254,8 +147,8 @@ struct ObsFlags {
 ObsFlags setup_observability(int argc, char** argv) {
   ObsFlags f;
   f.profile = has_flag(argc, argv, "--profile");
-  f.metrics_json = str_flag(argc, argv, "--metrics-json", nullptr);
-  f.trace_out = str_flag(argc, argv, "--trace-out", nullptr);
+  f.metrics_json = str_flag(argc, argv, "--metrics-json");
+  f.trace_out = str_flag(argc, argv, "--trace-out");
   if (f.profile || f.metrics_json) obs::set_metrics_enabled(true);
   if (f.trace_out) obs::set_tracing_enabled(true);
   return f;
@@ -332,9 +225,9 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
   std::vector<std::string> names;
   std::vector<BatchNetResult> load_failures;
 
-  const int n_random = int_flag(argc, argv, "--random", 0);
+  const int n_random = num_flag(argc, argv, "--random", 0);
   if (n_random > 0) {
-    Rng rng(static_cast<std::uint64_t>(int_flag(argc, argv, "--seed", 1)));
+    Rng rng(static_cast<std::uint64_t>(num_flag(argc, argv, "--seed", 1)));
     for (int i = 0; i < n_random; ++i) {
       nets.push_back(random_coupled_net(rng));
       names.push_back("random" + std::to_string(i));
@@ -359,7 +252,7 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
 
   BatchAnalyzer engine(cfg.batch);
   // --load-cache: start warm from a previous run's characterizations.
-  if (const char* path = str_flag(argc, argv, "--load-cache", nullptr)) {
+  if (const char* path = str_flag(argc, argv, "--load-cache")) {
     StatusOr<std::size_t> loaded = engine.cache()->load_file(path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
@@ -387,7 +280,7 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
   }
   std::fprintf(stderr, "%s\n", result.stats_text().c_str());
 
-  if (const char* path = str_flag(argc, argv, "--save-cache", nullptr)) {
+  if (const char* path = str_flag(argc, argv, "--save-cache")) {
     Status saved = engine.cache()->save_file(path);
     if (!saved.ok()) {
       std::fprintf(stderr, "error: %s\n", saved.to_string().c_str());
@@ -464,19 +357,17 @@ int run_single(int argc, char** argv, const AnalysisConfig& cfg) {
 int run_serve(int argc, char** argv, const AnalysisConfig& cfg) {
   server::ServerOptions opts;
   opts.config = cfg;
-  opts.queue_soft_limit = static_cast<std::size_t>(
-      std::max(1, int_flag(argc, argv, "--queue-soft", 8)));
-  opts.queue_hard_limit = static_cast<std::size_t>(std::max(
-      static_cast<int>(opts.queue_soft_limit),
-      int_flag(argc, argv, "--queue-hard", 64)));
-  if (const char* dir = str_flag(argc, argv, "--state-dir", nullptr))
+  opts.queue_soft_limit = count_flag(argc, argv, "--queue-soft", 8, 1);
+  opts.queue_hard_limit = count_flag(argc, argv, "--queue-hard", 64,
+                                     static_cast<int>(opts.queue_soft_limit));
+  if (const char* dir = str_flag(argc, argv, "--state-dir"))
     opts.durability.state_dir = dir;
   opts.durability.recover = has_flag(argc, argv, "--recover");
   if (opts.durability.recover && opts.durability.state_dir.empty()) {
     std::fprintf(stderr, "error: --recover requires --state-dir\n");
     return 2;
   }
-  if (const char* fsync = str_flag(argc, argv, "--fsync", nullptr)) {
+  if (const char* fsync = str_flag(argc, argv, "--fsync")) {
     if (std::strcmp(fsync, "always") == 0) {
       opts.durability.fsync = durable::FsyncPolicy::kAlways;
     } else if (std::strcmp(fsync, "none") == 0) {
@@ -486,21 +377,19 @@ int run_serve(int argc, char** argv, const AnalysisConfig& cfg) {
       return 2;
     }
   }
-  opts.durability.snapshot_every = static_cast<std::uint64_t>(
-      std::max(0, int_flag(argc, argv, "--snapshot-every", 32)));
+  opts.durability.snapshot_every =
+      count_flag(argc, argv, "--snapshot-every", 32);
   opts.durability.watchdog_ms =
-      std::max(0.0, double_flag(argc, argv, "--watchdog-ms", 0.0));
-  opts.limits.max_request_bytes = static_cast<std::size_t>(std::max(
-      0, int_flag(argc, argv, "--max-request-bytes",
-                  static_cast<int>(opts.limits.max_request_bytes))));
-  opts.limits.max_request_nodes = static_cast<std::size_t>(std::max(
-      0, int_flag(argc, argv, "--max-request-nodes",
-                  static_cast<int>(opts.limits.max_request_nodes))));
-  opts.limits.max_design_nets = static_cast<std::size_t>(std::max(
-      0, int_flag(argc, argv, "--max-design-nets",
-                  static_cast<int>(opts.limits.max_design_nets))));
+      std::max(0.0, num_flag(argc, argv, "--watchdog-ms", 0.0));
+  server::ProtocolLimits& limits = opts.limits;
+  limits.max_request_bytes =
+      count_flag(argc, argv, "--max-request-bytes", limits.max_request_bytes);
+  limits.max_request_nodes =
+      count_flag(argc, argv, "--max-request-nodes", limits.max_request_nodes);
+  limits.max_design_nets =
+      count_flag(argc, argv, "--max-design-nets", limits.max_design_nets);
   server::Server srv(opts);
-  if (const char* path = str_flag(argc, argv, "--socket", nullptr))
+  if (const char* path = str_flag(argc, argv, "--socket"))
     return srv.serve_unix(path);
   return srv.serve_stream(std::cin, std::cout);
 }
@@ -512,33 +401,35 @@ int main(int argc, char** argv) {
   // Chaos harness: install the deterministic fault-injection config before
   // any analysis runs. Probes key on stable identities (net index, cache
   // key), so a fixed spec + seed reproduces bit-for-bit at any --jobs.
-  if (const char* spec_str = str_flag(argc, argv, "--inject-faults", nullptr)) {
+  if (const char* spec_str = str_flag(argc, argv, "--inject-faults")) {
     StatusOr<fault::FaultSpec> spec = fault::parse_fault_spec(spec_str);
     if (!spec.ok()) {
       std::fprintf(stderr, "error: %s\n", spec.status().to_string().c_str());
       return 2;
     }
     fault::install(*spec, static_cast<std::uint64_t>(
-                              int_flag(argc, argv, "--fault-seed", 1)));
+                              num_flag(argc, argv, "--fault-seed", 1)));
   }
 
   int rc;
   if (has_flag(argc, argv, "--screen")) {
     rc = run_screening(argc, argv);
   } else {
-    StatusOr<AnalysisConfig> cfg = config_from_flags(argc, argv);
-    if (!cfg.ok()) {
-      std::fprintf(stderr, "error: %s\n", cfg.status().to_string().c_str());
+    // The ONE flag -> configuration path: --config FILE first, then the
+    // config flags, through the validation the server's `config` verb uses.
+    AnalysisConfig cfg;
+    if (Status s = cfg.apply_flags({argv + 1, argv + argc}); !s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.to_string().c_str());
       return 2;
     }
     if (has_flag(argc, argv, "--serve")) {
-      rc = run_serve(argc, argv, *cfg);
+      rc = run_serve(argc, argv, cfg);
     } else if (has_flag(argc, argv, "--batch")) {
-      rc = run_batch(argc, argv, *cfg);
+      rc = run_batch(argc, argv, cfg);
     } else if (argc < 2 || argv[1][0] == '-') {
       return usage();
     } else {
-      rc = run_single(argc, argv, *cfg);
+      rc = run_single(argc, argv, cfg);
     }
   }
   const int obs_rc = finalize_observability(obs_flags);
