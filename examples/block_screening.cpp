@@ -3,10 +3,9 @@
 // worst offenders — the triage a production noise tool performs before
 // spending simulation time.
 //
-// The triage is built into BatchAnalyzer: setting
-// BatchOptions::screen_threshold makes the batch engine run the
-// screening estimate first and skip the full analysis for every net
-// whose estimated delay noise falls below the threshold.
+// The triage is built into BatchAnalyzer as the fidelity ladder. At
+// tier1_margin 1 it skips the full analysis for exactly the nets whose
+// estimated delay noise falls below the threshold.
 //
 // Usage: block_screening [num_nets]
 #include <cstdio>
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
               n_nets, threshold / ps);
 
   BatchOptions opts;
-  opts.screen_threshold = threshold;
+  opts.ladder = {.enabled = true, .dn_threshold = threshold, .tier1_margin = 1};
   opts.top_k = 5;
   BatchAnalyzer engine(opts);
   const BatchResult res = engine.analyze(nets);

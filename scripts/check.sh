@@ -79,9 +79,9 @@ fi
 
 if [[ "$run_chaos" == 1 ]]; then
   echo "== chaos: injected faults must degrade, not crash =="
-  # A batch over SPEF decks so all five sites are live: parse (deck
-  # load), cache/factor/newton (analysis), task (worker boundary). The
-  # decks are distinct variants (the parse probe keys on deck content).
+  # A batch over SPEF decks so all four sites are live: parse (deck
+  # load) and cache/factor/newton (analysis). The decks are distinct
+  # variants (the parse probe keys on deck content).
   # Three seeds x one mixed spec. Demands per seed: exit 0 (isolation
   # kept at least one net analyzable) and stdout byte-identical between
   # --jobs 1 and --jobs 8 (the injection hashes stable identities, never
@@ -96,8 +96,7 @@ if [[ "$run_chaos" == 1 ]]; then
     } > "$chaosdir/net$i.spef"
   done
   chaos_args=(--batch "$chaosdir"/net*.spef --top 5 --solver sparse
-              --max-retries 2 --inject-faults
-              parse:0.25,cache:0.4,factor:0.4,newton:0.02,task:0.3)
+              --inject-faults parse:0.25,cache:0.4,factor:0.4,newton:0.02)
   for fault_seed in 1 2 3; do
     out1=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 1 2>/dev/null)
     out8=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 8 2>/dev/null)

@@ -55,12 +55,6 @@ const Key kKeys[] = {
     {.name = "top_k", .flag = "--top", .arg = "K", .lo = 0, .scheduling = true,
      .help = "size of the worst-nets ranking",
      .fields = [](auto& b, auto&) { return refs(&b.top_k); }},
-    {.name = "screen_below_ps", .flag = "--screen-below", .arg = "PS",
-     .unit = units::ps, .help = "screen out nets estimated < PS (<0 = off)",
-     .fields = [](auto& b, auto&) { return refs(&b.screen_threshold); }},
-    {.name = "screen_vn_below_v",
-     .help = "screen out nets with noise peak est. < V (<0 = off)",
-     .fields = [](auto& b, auto&) { return refs(&b.screen_vn_threshold); }},
     {.name = "fidelity_ladder", .help = "tiered screening ladder on",
      .fields = [](auto& b, auto&) { return refs(&b.ladder.enabled); }},
     {.name = "fidelity_threshold_ps", .flag = "--fidelity-threshold",
@@ -75,12 +69,6 @@ const Key kKeys[] = {
     {.name = "window_pruning",
      .help = "drop aggressors outside their switching windows",
      .fields = [](auto&, auto& a) { return refs(&a.analysis.window_pruning); }},
-    {.name = "max_retries", .flag = "--max-retries", .arg = "N", .lo = 0,
-     .scheduling = true, .help = "re-run transiently failed nets up to N times",
-     .fields = [](auto& b, auto&) { return refs(&b.max_retries); }},
-    {.name = "retry_backoff_ms", .lo = 0, .scheduling = true,
-     .help = "base backoff before a retry",
-     .fields = [](auto& b, auto&) { return refs(&b.retry_backoff_ms); }},
     {.name = "deadline_ms", .flag = "--deadline-ms", .arg = "MS",
      .scheduling = true, .help = "wall-clock budget of the run (<0 = none)",
      .fields = [](auto& b, auto&) { return refs(&b.deadline_ms); }},
@@ -173,6 +161,26 @@ const Key kKeys[] = {
      }},
 };
 
+/// A key no longer in the table. Dumps written before its removal hold
+/// it at `dumped`, the value that behaves as today, so they still apply.
+struct RemovedKey {
+  const char* name;
+  double dumped;
+  const char* instead;
+};
+
+constexpr const char* kScreenInstead =
+    "screen with --fidelity 2 --fidelity-threshold PS --fidelity-margin 1";
+constexpr const char* kRetryInstead =
+    "a batch analyzes each net once (analysis is deterministic)";
+
+const RemovedKey kRemovedKeys[] = {
+    {"screen_below_ps", -1, kScreenInstead},
+    {"screen_vn_below_v", -1, kScreenInstead},
+    {"max_retries", 0, kRetryInstead},
+    {"retry_backoff_ms", 1, kRetryInstead},
+};
+
 // The config flags outside the table: a file of keys, and the one flag
 // that sets two keys.
 constexpr std::string_view kConfigFlag = "--config";
@@ -181,6 +189,18 @@ constexpr std::string_view kFidelityFlag = "--fidelity";
 const Key* find_key(std::string_view name) {
   for (const Key& k : kKeys)
     if (name == k.name) return &k;
+  return nullptr;
+}
+
+const Key* find_flag(std::string_view flag) {
+  for (const Key& k : kKeys)
+    if (k.flag && flag == k.flag) return &k;
+  return nullptr;
+}
+
+const RemovedKey* find_removed(std::string_view name) {
+  for (const RemovedKey& r : kRemovedKeys)
+    if (name == r.name) return &r;
   return nullptr;
 }
 
@@ -327,6 +347,11 @@ Status AnalysisConfig::apply(const json::Value& v) {
   // Strong guarantee: stage the merge, validate, then commit.
   AnalysisConfig staged = *this;
   for (const auto& [name, value] : v.as_object()) {
+    if (const RemovedKey* r = find_removed(name)) {
+      if (value.is_number() && value.as_number() == r->dumped) continue;
+      return Status::InvalidArgument("config: key \"" + name +
+                                     "\" was removed; " + r->instead);
+    }
     const Key* k = find_key(name);
     if (!k)
       return Status::InvalidArgument("config: unknown key \"" + name + "\"");
@@ -397,11 +422,13 @@ std::string AnalysisConfig::result_fingerprint() const {
   return dump_keys(batch, false).dump();
 }
 
+bool AnalysisConfig::is_flag(std::string_view arg) {
+  return arg == kConfigFlag || arg == kFidelityFlag || find_flag(arg);
+}
+
 bool AnalysisConfig::is_value_flag(std::string_view arg) {
-  return arg == kConfigFlag || arg == kFidelityFlag ||
-         std::any_of(std::begin(kKeys), std::end(kKeys), [&](const Key& k) {
-           return k.flag && k.arg && arg == k.flag;
-         });
+  const Key* k = find_flag(arg);
+  return arg == kConfigFlag || arg == kFidelityFlag || (k && k->arg);
 }
 
 std::string AnalysisConfig::flags_usage() {

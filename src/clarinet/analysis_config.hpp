@@ -1,7 +1,7 @@
 // AnalysisConfig: the ONE externally-settable configuration surface.
 //
-// Every knob a user can turn — batch fan-out, screening thresholds,
-// retry/deadline budgets, engine time grid, solver backend, alignment
+// Every knob a user can turn — batch fan-out, the fidelity ladder, the
+// deadline budget, engine time grid, solver backend, alignment
 // method, Rtr/Newton iteration limits — is a named JSON key, declared
 // once in the key table in analysis_config.cpp (name, CLI flag, type,
 // unit, range, scheduling or not, help, fields). apply, to_json,
@@ -11,7 +11,9 @@
 //
 // Contract:
 //   - apply() merges keys; unknown keys and out-of-range values are
-//     kInvalidArgument and leave *this intact.
+//     kInvalidArgument and leave *this intact. A removed key is accepted
+//     only at the value old dumps hold for it, so old server snapshots
+//     still restore; any other value names what replaced it.
 //   - A key sets only fields that share one default, so keys apply in
 //     any order with the same result.
 //   - to_json() emits EVERY key in a fixed order: from_json(to_json())
@@ -53,13 +55,15 @@ struct AnalysisConfig {
   json::Value to_json() const;
   std::string to_json_text() const;
 
-  /// Every key but the scheduling ones (jobs, top_k, retries, deadline),
+  /// Every key but the scheduling ones (jobs, top_k, deadline),
   /// as JSON: results under two configs can differ only if these do.
   std::string result_fingerprint() const;
 
   /// Range-checks the current values (apply/from_json already call it).
   Status validate() const;
 
+  /// Whether `arg` is a config flag (a switch or one taking a value).
+  static bool is_flag(std::string_view arg);
   /// Whether `arg` is a config flag followed by a value.
   static bool is_value_flag(std::string_view arg);
 

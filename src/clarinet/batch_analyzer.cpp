@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
@@ -51,7 +49,6 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
   st.analyzed = st.screened_out = st.degraded = st.deferred = 0;
   st.tier0_pruned = st.tier1_pruned = st.tier2_analyzed = 0;
   st.max_pruned_bound = 0.0;
-  st.retries = 0;
   st.ladder = ladder_enabled;
   for (const auto& nr : out.nets) {
     if (nr.screened_out) {
@@ -70,8 +67,6 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
       if (nr.outcome == AnalysisOutcome::kDegraded) ++st.degraded;
       if (ladder_enabled) ++st.tier2_analyzed;
     }
-    st.retries +=
-        static_cast<std::uint64_t>(nr.attempts > 1 ? nr.attempts - 1 : 0);
   }
   st.failed = st.total - st.analyzed - st.screened_out - st.deferred;
 }
@@ -115,7 +110,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
       obs::metrics().counter("batch.nets_screened");
   static obs::Counter& c_degraded =
       obs::metrics().counter("batch.nets_degraded");
-  static obs::Counter& c_retries = obs::metrics().counter("batch.retries");
   static obs::Histogram& h_net =
       obs::metrics().histogram("batch.net.seconds");
   static obs::Gauge& g_depth = obs::metrics().gauge("batch.queue_depth");
@@ -129,11 +123,7 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
   const std::uint64_t hits0 = cache()->hits();
   const std::uint64_t misses0 = cache()->misses();
 
-  const ScreeningOptions screening = opts_.screening();
-  // The fidelity ladder replaces the single-threshold screen when
-  // enabled; off keeps the classic path byte-identical.
   const bool do_ladder = opts_.ladder.enabled;
-  const bool do_screen = !do_ladder && screening.active();
   const FidelityLadder ladder(opts_.ladder);
 
   BatchResult out;
@@ -147,8 +137,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
   const Deadline deadline = opts_.deadline_ms > 0
                                 ? Deadline::after(opts_.deadline_ms * 1e-3)
                                 : Deadline();
-  const int max_attempts = 1 + std::max(opts_.max_retries, 0);
-  std::atomic<std::uint64_t> retries_total{0};
 
   pool_.parallel_for(nets.size(), [&](std::size_t i) {
     ScopedDeadline scoped_deadline(deadline);
@@ -167,7 +155,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
         if (dec.ok()) {
           slot.decided_by = dec->decided_by;
           slot.dn_bound = dec->dn_bound;
-          if (dec->tier1_ran) slot.screen = dec->tier1;
           if (dec->pruned) {
             slot.screened_out = true;
             slot.outcome = AnalysisOutcome::kScreened;
@@ -181,17 +168,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
             skip = true;
           }
         }
-      } else if (do_screen) {
-        // Cheap deterministic triage; estimate failures fall through so
-        // the full analysis reports the authoritative Status.
-        StatusOr<ScreeningEstimate> est = try_screen_net(nets[i]);
-        if (est.ok() && !screening.passes(*est)) {
-          slot.screened_out = true;
-          slot.screen = *est;
-          slot.outcome = AnalysisOutcome::kScreened;
-          c_screened.add();
-          skip = true;
-        }
       }
       if (!skip && deadline.expired()) {
         // Fail fast: do not start work the budget cannot pay for.
@@ -201,60 +177,25 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
         skip = true;
       }
       if (!skip) {
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          slot.attempts = attempt + 1;
-          if (attempt > 0) {
-            retries_total.fetch_add(1, std::memory_order_relaxed);
-            c_retries.add();
-            // Exponential backoff, capped at the batch deadline's
-            // remaining budget: sleeping past the deadline would turn a
-            // retryable blip into a guaranteed kDeadlineExceeded (and
-            // stall the worker for the full backoff besides).
-            double ms =
-                opts_.retry_backoff_ms * static_cast<double>(1 << (attempt - 1));
-            const double remaining_ms =
-                std::max(0.0, deadline.remaining_s() * 1e3);
-            ms = std::min(ms, remaining_ms);
-            if (ms > 0 && std::isfinite(ms))
-              std::this_thread::sleep_for(std::chrono::duration<double,
-                                                                std::milli>(ms));
-          }
-          // Deterministic identity of this attempt: every fault probe
-          // (factor, newton) inside the net's analysis is keyed to
-          // (net index, attempt), never to the thread or schedule.
-          const std::uint64_t attempt_key =
-              fault::mix64(static_cast<std::uint64_t>(i) + 1) ^
-              fault::mix64(static_cast<std::uint64_t>(attempt) << 32);
-          fault::ScopedContext fault_ctx(attempt_key);
-          // Task-boundary probe: a retryable infrastructure failure
-          // (worker eviction, resource exhaustion) before any analysis.
-          if (fault::should_fail(fault::Site::kTask, attempt_key)) {
-            slot.status =
-                Status::Unavailable("injected fault: batch worker task");
-          } else {
-            StatusOr<DelayNoiseResult> r = analyzer_.try_analyze(nets[i]);
-            if (r.ok()) {
-              slot.status = Status::Ok();
-              slot.result = std::move(*r);
-              slot.report =
-                  DelayNoiseReport::from(nets[i], slot.result, slot.name);
-              if (do_ladder)
-                slot.report.fidelity_tier =
-                    fidelity_tier_name(slot.decided_by);
-            } else {
-              slot.status = r.status();
-            }
-          }
-          if (slot.status.ok() || !slot.status.is_transient()) break;
-          if (deadline.expired()) break;  // No budget left for retries.
-        }
-        if (slot.status.ok()) {
+        // Every fault probe (factor, newton) inside the net's analysis is
+        // keyed to the net index, never to the thread or schedule. The
+        // `^ mix64(0)` keeps the keys, and so a seeded chaos run's
+        // probes, the same as in builds that keyed each retry attempt.
+        fault::ScopedContext fault_ctx(
+            fault::mix64(static_cast<std::uint64_t>(i) + 1) ^ fault::mix64(0));
+        StatusOr<DelayNoiseResult> r = analyzer_.try_analyze(nets[i]);
+        if (r.ok()) {
+          slot.result = std::move(*r);
+          slot.report = DelayNoiseReport::from(nets[i], slot.result, slot.name);
+          if (do_ladder)
+            slot.report.fidelity_tier = fidelity_tier_name(slot.decided_by);
           slot.outcome = slot.result.degradations.empty()
                              ? AnalysisOutcome::kOk
                              : AnalysisOutcome::kDegraded;
           if (slot.outcome == AnalysisOutcome::kDegraded) c_degraded.add();
           c_ok.add();
         } else {
+          slot.status = r.status();
           slot.outcome = AnalysisOutcome::kFailed;
           c_failed.add();
         }
@@ -287,7 +228,6 @@ void BatchResult::write_text(std::ostream& os) const {
   if (stats.degraded) os << ", " << stats.degraded << " degraded";
   if (stats.screened_out)
     os << ", " << stats.screened_out << " screened out";
-  if (stats.retries) os << ", " << stats.retries << " retries";
   if (stats.ladder && stats.deferred)
     os << ", " << stats.deferred << " deferred";
   os << "\n";
@@ -302,14 +242,9 @@ void BatchResult::write_text(std::ostream& os) const {
   }
   for (const auto& nr : nets) {
     os << "  [" << nr.index << "] " << nr.name << ": ";
-    if (nr.screened_out) {
-      if (stats.ladder)
-        os << "pruned at " << fidelity_tier_name(nr.decided_by) << " (bound "
-           << nr.dn_bound * 1e12 << " ps)\n";
-      else
-        os << "screened out (est " << nr.screen.dn_est * 1e12 << " ps)\n";
-    } else if (nr.deferred) {
-      os << "deferred at " << fidelity_tier_name(nr.decided_by) << " (bound "
+    if (nr.screened_out || nr.deferred) {
+      os << (nr.deferred ? "deferred" : "pruned") << " at "
+         << fidelity_tier_name(nr.decided_by) << " (bound "
          << nr.dn_bound * 1e12 << " ps)\n";
     } else if (nr.status.ok()) {
       os << nr.report.delay_noise_ps << " ps combined ("
@@ -348,18 +283,10 @@ void BatchResult::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (i) os << ",";
     const auto& nr = nets[i];
-    if (nr.screened_out) {
+    if (nr.screened_out || nr.deferred) {
       const auto saved = os.precision(6);
-      os << "{\"net\":\"" << nr.name << "\",\"screened_out\":true,";
-      if (stats.ladder)
-        os << "\"tier\":\"" << fidelity_tier_name(nr.decided_by)
-           << "\",\"bound_ps\":" << nr.dn_bound * 1e12 << "}";
-      else
-        os << "\"est_dnoise_ps\":" << nr.screen.dn_est * 1e12 << "}";
-      os.precision(saved);
-    } else if (nr.deferred) {
-      const auto saved = os.precision(6);
-      os << "{\"net\":\"" << nr.name << "\",\"deferred\":true,"
+      os << "{\"net\":\"" << nr.name << "\",\""
+         << (nr.deferred ? "deferred" : "screened_out") << "\":true,"
          << "\"tier\":\"" << fidelity_tier_name(nr.decided_by)
          << "\",\"bound_ps\":" << nr.dn_bound * 1e12 << "}";
       os.precision(saved);
@@ -367,9 +294,7 @@ void BatchResult::write_json(std::ostream& os) const {
       nr.report.to_json(os);
     } else {
       os << "{\"net\":\"" << nr.name << "\",\"error\":\""
-         << status_code_name(nr.status.code()) << "\"";
-      if (nr.attempts > 1) os << ",\"attempts\":" << nr.attempts;
-      os << "}";
+         << status_code_name(nr.status.code()) << "\"}";
     }
   }
   os << "],\"worst\":[";
@@ -378,7 +303,6 @@ void BatchResult::write_json(std::ostream& os) const {
   os << "],\"failed\":" << stats.failed;
   if (stats.degraded) os << ",\"degraded\":" << stats.degraded;
   if (stats.screened_out) os << ",\"screened_out\":" << stats.screened_out;
-  if (stats.retries) os << ",\"retries\":" << stats.retries;
   if (stats.ladder) {
     const auto saved = os.precision(6);
     os << ",\"ladder\":{\"tier0_pruned\":" << stats.tier0_pruned

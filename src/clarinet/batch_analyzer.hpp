@@ -28,7 +28,6 @@
 
 #include "clarinet/analyzer.hpp"
 #include "clarinet/fidelity_ladder.hpp"
-#include "clarinet/screening.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dn {
@@ -39,42 +38,14 @@ struct BatchOptions {
   AnalyzerConfig analyzer{};
   int jobs = 0;    // Worker count; 0 = one per hardware thread.
   int top_k = 10;  // Size of the worst-nets ranking.
-  /// Screening filter: nets whose cheap moment-level estimated delay
-  /// noise (ScreeningEstimate::dn_est) falls below this threshold [s] are
-  /// recorded as screened-out and skip the full analysis — the
-  /// rank-and-filter triage, folded into the engine. Negative disables
-  /// (analyze everything). Deterministic: the estimate depends only on
-  /// the net.
-  double screen_threshold = -1.0;
-  /// Companion noise-peak threshold [V] for the same filter (see
-  /// ScreeningOptions::passes for how multiple active thresholds
-  /// combine). Negative disables.
-  double screen_vn_threshold = -1.0;
 
-  /// The equivalent ScreeningOptions for the configured thresholds.
-  ScreeningOptions screening() const {
-    ScreeningOptions s;
-    s.dn_est_min = screen_threshold;
-    s.vn_est_min = screen_vn_threshold;
-    return s;
-  }
-
-  /// Tiered multi-fidelity ladder (clarinet/fidelity_ladder.hpp). When
-  /// enabled it REPLACES the single-threshold screening above: Tier 0/1
-  /// prune quiet nets with recorded bounds, Tier 2 runs the full flow
-  /// for survivors. Disabled keeps the classic path byte-identical.
+  /// Tiered multi-fidelity ladder (clarinet/fidelity_ladder.hpp), the
+  /// engine's one triage path: Tier 0/1 prune quiet nets with recorded
+  /// bounds, Tier 2 runs the full flow for survivors. Disabled analyzes
+  /// every net. The classic "skip nets whose moment estimate is below T"
+  /// filter is the ladder at threshold T with tier1_margin 1.
   FidelityLadderOptions ladder{};
 
-  /// Per-net retry budget for TRANSIENT failures (Status::is_transient(),
-  /// i.e. kUnavailable): a failing net is re-analyzed up to this many
-  /// extra times before being recorded as failed. Non-transient failures
-  /// (bad input, solver breakdown past the ladder) never retry — the
-  /// same input would fail the same way. 0 disables.
-  int max_retries = 0;
-  /// Base exponential backoff between retries [ms]: attempt r sleeps
-  /// retry_backoff_ms * 2^r. Kept tiny by default; the point is yielding
-  /// the core, not politeness to a remote service.
-  double retry_backoff_ms = 1.0;
   /// Wall-clock budget for the whole batch [ms]; <= 0 = unlimited. Every
   /// worker installs the shared deadline: nets in flight when it expires
   /// record kDeadlineExceeded (their step loops poll it), and nets not
@@ -88,7 +59,7 @@ enum class AnalysisOutcome {
   kOk = 0,    // Clean analysis, no ladder steps.
   kDegraded,  // Analyzed, but at least one degradation rung was taken.
   kFailed,    // No result; BatchNetResult::status explains.
-  kScreened,  // Skipped: screening threshold or fidelity-ladder prune.
+  kScreened,  // Skipped: pruned by the fidelity ladder.
   kDeferred,  // Survived a capped ladder (max_tier < 2); not analyzed.
 };
 
@@ -99,12 +70,10 @@ struct BatchNetResult {
   std::size_t index = 0;
   std::string name;
   Status status;             // OK iff the net analyzed cleanly or was screened out.
-  bool screened_out = false;  // Skipped by BatchOptions::screen_threshold.
-  ScreeningEstimate screen;  // Valid iff screened_out.
+  bool screened_out = false;  // Pruned by the fidelity ladder.
   DelayNoiseResult result;   // Valid iff status.ok() && !screened_out.
   DelayNoiseReport report;   // Valid iff status.ok() && !screened_out.
   AnalysisOutcome outcome = AnalysisOutcome::kOk;
-  int attempts = 1;          // 1 + retries actually consumed.
 
   // Fidelity provenance (meaningful only when BatchOptions::ladder is
   // enabled): the tier that decided this net and the tightest cheap-tier
@@ -121,7 +90,6 @@ struct BatchStats {
   std::size_t failed = 0;
   std::size_t screened_out = 0;
   std::size_t degraded = 0;   // Subset of `analyzed`.
-  std::uint64_t retries = 0;  // Extra attempts consumed across all nets.
   int jobs = 1;
   double elapsed_s = 0.0;
   double nets_per_s = 0.0;
@@ -165,7 +133,7 @@ struct BatchResult {
 };
 
 /// Recomputes `out.worst` and every outcome-derived stats field (counts,
-/// tier tallies, max pruned bound, retries, failed) from `out.nets`.
+/// tier tallies, max pruned bound, failed) from `out.nets`.
 /// Timing/cache/jobs figures are left to the caller. Shared by
 /// BatchAnalyzer::analyze and the resident server's slot re-assembly so
 /// the two rankings can never drift.

@@ -47,8 +47,7 @@ struct Tier0Bound {
 StatusOr<Tier0Bound> try_tier0_bound(const CoupledNet& net);
 
 struct FidelityLadderOptions {
-  /// Master switch. Off = the classic single-threshold screening path;
-  /// batch output is then byte-identical to a build without the ladder.
+  /// Master switch. Off = the batch engine analyzes every net.
   bool enabled = false;
   /// Violation threshold [s]: the delay noise that matters downstream.
   /// Nets whose tier bound falls below it are pruned. Negative prunes
@@ -57,7 +56,9 @@ struct FidelityLadderOptions {
   /// Multiplier applied to the Tier-1 estimate before comparing against
   /// the threshold. Calibrated so margin * dn_est stays an upper bound on
   /// the Tier-2 result across the random-net distributions the property
-  /// tests sweep (tests/test_fidelity_ladder.cpp).
+  /// tests sweep (tests/test_fidelity_ladder.cpp). At 1 the ladder prunes
+  /// exactly the nets with dn_est < dn_threshold: Tier 0's bound is at
+  /// least 2 * dn_est, so Tier 0 only prunes nets Tier 1 would.
   double tier1_margin = 3.0;
   /// Highest tier allowed to run: 0 or 1 stop at the cheap tiers
   /// (survivors are reported as deferred, with their tightest bound);
@@ -76,7 +77,6 @@ struct LadderDecision {
   /// violation). Valid whenever tier 0 ran.
   double dn_bound = 0.0;
   Tier0Bound tier0;          // Valid: tier0_ran.
-  ScreeningEstimate tier1;   // Valid: tier1_ran.
   bool tier0_ran = false;
   bool tier1_ran = false;
 };

@@ -591,13 +591,11 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
     for (std::size_t p = 0; p < dirty_idx.size(); ++p) {
       const std::size_t o = dirty_idx[p];
       br.nets[p].index = o;
-      // A net that ran out of deadline or hit a transient fault stays
-      // dirty: the stored slot records the failure honestly, and the
-      // next analyze retries it instead of serving the failure forever.
-      const Status& ns = br.nets[p].status;
+      // A net that ran out of deadline stays dirty: the stored slot
+      // records the failure honestly, and the next analyze retries it
+      // instead of serving the failure forever.
       const bool retry_later =
-          !ns.ok() && (ns.code() == StatusCode::kDeadlineExceeded ||
-                       ns.is_transient());
+          br.nets[p].status.code() == StatusCode::kDeadlineExceeded;
       slots_[o] = std::move(br.nets[p]);
       dirty_[o] = degraded || retry_later;
     }

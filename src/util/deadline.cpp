@@ -1,7 +1,5 @@
 #include "util/deadline.hpp"
 
-#include <limits>
-
 namespace dn {
 
 namespace detail {
@@ -48,12 +46,6 @@ Deadline Deadline::cancellable() {
   Deadline d;
   d.cancelled_ = std::make_shared<std::atomic<bool>>(false);
   return d;
-}
-
-double Deadline::remaining_s() const {
-  if (cancelled_ && cancelled_->load(std::memory_order_relaxed)) return 0.0;
-  if (!has_expiry_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(expiry_ - Clock::now()).count();
 }
 
 Status Deadline::check(const char* where) const {

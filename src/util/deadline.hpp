@@ -52,9 +52,6 @@ class Deadline {
     if (cancelled_) cancelled_->store(true, std::memory_order_relaxed);
   }
 
-  /// Seconds until expiry (+inf when unlimited, <= 0 when expired).
-  double remaining_s() const;
-
   /// kDeadlineExceeded naming `where` when expired, OK otherwise.
   Status check(const char* where) const;
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,9 +36,7 @@ TEST(AnalysisConfig, DefaultsValidateAndRoundTrip) {
 TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   AnalysisConfig cfg;
   const Status applied = cfg.apply(*json::parse(R"({
-    "jobs": 3, "top_k": 7, "screen_below_ps": 2.5,
-    "screen_vn_below_v": 0.05, "max_retries": 2, "retry_backoff_ms": 1.5,
-    "deadline_ms": 250, "exhaustive": true, "thevenin": true,
+    "jobs": 3, "top_k": 7, "deadline_ms": 250, "exhaustive": true, "thevenin": true,
     "prereduce": true, "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
     "model_alignment_iterations": 2, "rtr_max_iterations": 6,
     "newton_max_iterations": 50, "newton_v_tol": 1e-8})"));
@@ -45,8 +44,6 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
 
   EXPECT_EQ(cfg.batch.jobs, 3);
   EXPECT_EQ(cfg.batch.top_k, 7);
-  EXPECT_NEAR(cfg.batch.screen_threshold, 2.5 * ps, 1e-18);
-  EXPECT_EQ(cfg.batch.max_retries, 2);
   EXPECT_FALSE(cfg.batch.analyzer.use_prediction_tables);  // exhaustive
   EXPECT_FALSE(
       cfg.batch.analyzer.analysis.use_transient_holding);  // thevenin
@@ -103,14 +100,6 @@ TEST(AnalysisConfig, ApplyHasTheStrongGuarantee) {
   EXPECT_EQ(cfg.batch.jobs, 5);
 }
 
-TEST(AnalysisConfig, ScreenThresholdsDisableBelowZero) {
-  AnalysisConfig cfg;
-  ASSERT_TRUE(cfg.apply(*json::parse("{\"screen_below_ps\":-1}")).ok());
-  EXPECT_LT(cfg.batch.screen_threshold, 0.0);
-  ASSERT_TRUE(cfg.apply(*json::parse("{\"screen_below_ps\":10}")).ok());
-  EXPECT_NEAR(cfg.batch.screen_threshold, 10 * ps, 1e-18);
-}
-
 TEST(AnalysisConfig, FromJsonTextRejectsMalformedDocuments) {
   EXPECT_EQ(AnalysisConfig::from_json(std::string_view("{\"jobs\":"))
                 .status()
@@ -127,15 +116,11 @@ TEST(AnalysisConfig, FromJsonTextRejectsMalformedDocuments) {
 const std::vector<std::pair<std::string, std::string>> kNonDefault = {
     {"jobs", "3"},
     {"top_k", "7"},
-    {"screen_below_ps", "2.5"},
-    {"screen_vn_below_v", "0.05"},
     {"fidelity_ladder", "true"},
     {"fidelity_threshold_ps", "12.5"},
     {"fidelity_margin", "4"},
     {"fidelity_max_tier", "1"},
     {"window_pruning", "false"},
-    {"max_retries", "2"},
-    {"retry_backoff_ms", "1.5"},
     {"deadline_ms", "250"},
     {"exhaustive", "true"},
     {"thevenin", "true"},
@@ -156,8 +141,15 @@ const std::vector<std::pair<std::string, std::string>> kNonDefault = {
     {"warm_start", "false"},
 };
 
-const std::set<std::string> kSchedulingKeys = {
-    "jobs", "top_k", "max_retries", "retry_backoff_ms", "deadline_ms"};
+const std::set<std::string> kSchedulingKeys = {"jobs", "top_k",
+                                               "deadline_ms"};
+
+/// The keys removed from the table, at the value every old dump holds.
+const std::map<std::string, std::string> kRemovedKeys = {
+    {"screen_below_ps", "-1"},
+    {"screen_vn_below_v", "-1"},
+    {"max_retries", "0"},
+    {"retry_backoff_ms", "1"}};
 
 json::Value one_key(const std::string& key, const std::string& value) {
   json::Object o;
@@ -245,8 +237,9 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   // A dump written before the key table (flow keys first, per-family
   // overrides after, read in document order), with non-default flow and
   // override values. Server snapshots in this form must still recover.
+  // The four keys removed since hold the values every such dump has.
   const char* kOldDump =
-      R"({"jobs":3,"top_k":7,"screen_below_ps":2.5,"screen_vn_below_v":-1,)"
+      R"({"jobs":3,"top_k":7,"screen_below_ps":-1,"screen_vn_below_v":-1,)"
       R"("fidelity_ladder":true,"fidelity_threshold_ps":12.5,)"
       R"("fidelity_margin":3,"fidelity_max_tier":2,"window_pruning":true,)"
       R"("max_retries":0,"retry_backoff_ms":1,"deadline_ms":-1,)"
@@ -260,7 +253,11 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   const StatusOr<AnalysisConfig> cfg =
       AnalysisConfig::from_json(std::string_view(kOldDump));
   ASSERT_TRUE(cfg.ok()) << cfg.status().to_string();
-  EXPECT_EQ(cfg->to_json_text(), kOldDump);
+  const json::Value old_dump = *json::parse(kOldDump);
+  json::Object current;
+  for (const auto& [key, value] : old_dump.as_object())
+    if (!kRemovedKeys.count(key)) current[key] = value;
+  EXPECT_EQ(cfg->to_json_text(), json::Value(std::move(current)).dump());
 
   const AnalyzerConfig& a = cfg->batch.analyzer;
   EXPECT_EQ(a.engine.solver.backend, SolverBackend::kDense);
@@ -290,6 +287,23 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   EXPECT_NEAR(cfg->batch.ladder.dn_threshold, 12.5 * ps, 1e-24);
 }
 
+TEST(AnalysisConfigTable, RemovedKeysApplyOnlyAtTheirOldDumpedValues) {
+  for (const auto& [key, dumped] : kRemovedKeys) {
+    SCOPED_TRACE(key);
+    AnalysisConfig cfg;
+    EXPECT_TRUE(cfg.apply(one_key(key, dumped)).ok());
+    EXPECT_EQ(cfg.to_json_text(), AnalysisConfig{}.to_json_text());
+    EXPECT_EQ(cfg.to_json().find(key), nullptr);
+  }
+  AnalysisConfig cfg;
+  const Status s = cfg.apply(one_key("screen_below_ps", "2.5"));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("screen_below_ps"), std::string::npos);
+  EXPECT_NE(s.message().find("--fidelity-margin 1"), std::string::npos);
+  EXPECT_EQ(cfg.apply(one_key("max_retries", "2")).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(AnalysisConfigTable, DefaultsMatchTheGoldenDump) {
   const std::string path = std::string(DN_GOLDEN_DIR) + "/config_defaults.json";
   std::ifstream in(path, std::ios::binary);
@@ -305,7 +319,7 @@ TEST(AnalysisConfigFlags, MalformedValuesAreRejectedNamingTheFlag) {
   const std::vector<std::vector<std::string>> bad = {
       {"--lte-tol", "abc"},    {"--jobs", "four"},
       {"--jobs", "2.5"},       {"--top", ""},
-      {"--screen-below", "5ps"}, {"--lte-tol", "inf"},
+      {"--fidelity-threshold", "5ps"}, {"--lte-tol", "inf"},
       {"--warm-start", "yes"}, {"--fidelity", "3"},
       {"--solver", "quantum"}, {"--max-dt-growth"}};
   for (const auto& args : bad) {
@@ -367,6 +381,9 @@ TEST(AnalysisConfigFlags, ValueFlagsAreKnownToTheArgumentScanner) {
   EXPECT_TRUE(AnalysisConfig::is_value_flag("--warm-start"));
   EXPECT_FALSE(AnalysisConfig::is_value_flag("--exhaustive"));
   EXPECT_FALSE(AnalysisConfig::is_value_flag("--random"));
+  EXPECT_TRUE(AnalysisConfig::is_flag("--exhaustive"));
+  EXPECT_TRUE(AnalysisConfig::is_flag("--fidelity"));
+  EXPECT_FALSE(AnalysisConfig::is_flag("--screen-below"));
   const std::string usage = AnalysisConfig::flags_usage();
   EXPECT_NE(usage.find("[--lte-tol V]"), std::string::npos);
   EXPECT_NE(usage.find("[--fidelity off|0|1|2]"), std::string::npos);

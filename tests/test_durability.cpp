@@ -4,11 +4,9 @@
 // report is byte-identical to one from a session that never crashed.
 // Also covers the lifecycle/protocol hardening that rides on the same
 // machinery: the cooperative watchdog, per-request limits, recovery-
-// aware admission, the deadline-capped retry backoff, and cache-file
-// version/fingerprint skew rejection.
+// aware admission, and cache-file version/fingerprint skew rejection.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +23,6 @@
 #include "server/session.hpp"
 #include "server/snapshot.hpp"
 #include "util/durable_io.hpp"
-#include "util/fault_injection.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -606,7 +603,7 @@ TEST(Limits, DesignNetCapRejectsOversizedLoad) {
   EXPECT_TRUE(ok(req(s, load_line(1, 4, 1))));
 }
 
-// --- Retry backoff is capped by the remaining deadline (regression) ------
+// --- Cache-file version / fingerprint skew (never crash) -----------------
 
 AnalyzerConfig fast_config() {
   AnalyzerConfig c;
@@ -618,42 +615,6 @@ AnalyzerConfig fast_config() {
   c.analysis.search.dt = 2 * ps;
   return c;
 }
-
-TEST(BatchRetry, BackoffSleepIsCappedByRemainingDeadline) {
-  // task:1.0 makes every attempt fail with a transient error, so the
-  // engine walks the full retry ladder. With a 60 s base backoff an
-  // uncapped sleep would stall the batch for minutes; the cap bounds
-  // every sleep by the remaining 300 ms deadline.
-  StatusOr<fault::FaultSpec> spec = fault::parse_fault_spec("task:1.0");
-  ASSERT_TRUE(spec.ok());
-  fault::install(*spec, 7);
-
-  Rng rng(11);
-  std::vector<CoupledNet> nets;
-  nets.push_back(random_coupled_net(rng));
-  nets.push_back(random_coupled_net(rng));
-
-  BatchOptions opts;
-  opts.analyzer = fast_config();
-  opts.jobs = 1;
-  opts.max_retries = 5;
-  opts.retry_backoff_ms = 60000.0;
-  opts.deadline_ms = 300.0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const BatchResult r = BatchAnalyzer(opts).analyze(nets);
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  fault::clear();
-
-  // Generous CI margin; the uncapped behavior would take >= 60 s.
-  EXPECT_LT(elapsed_s, 10.0);
-  ASSERT_EQ(r.nets.size(), 2u);
-  for (const auto& nr : r.nets) EXPECT_FALSE(nr.status.ok());
-}
-
-// --- Cache-file version / fingerprint skew (never crash) -----------------
 
 /// Replaces the version token (the second whitespace-separated field of
 /// the header line) with `bad`.

@@ -1,7 +1,7 @@
 // Fault-tolerance layer: deadlines/cancellation (util/deadline.*), the
 // deterministic fault-injection harness (util/fault_injection.*), the
 // degradation ladder (util/degradation.*, DESIGN.md §10), and the batch
-// engine's isolation/retry/outcome accounting under injected chaos.
+// engine's isolation/outcome accounting under injected chaos.
 //
 // The two load-bearing properties:
 //   1. Injected faults at every site yield degraded-or-failed batch
@@ -125,10 +125,10 @@ TEST(Deadline, ExpiredBatchDeadlineFailsNetsWithDeadlineExceeded) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultSpec, ParsesSitesRatesAndAll) {
-  const auto spec = fault::parse_fault_spec("newton:0.25,task");
+  const auto spec = fault::parse_fault_spec("newton:0.25,cache");
   ASSERT_TRUE(spec.ok());
   EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kNewton)], 0.25);
-  EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kTask)], 1.0);
+  EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kCacheFill)], 1.0);
   EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kFactor)], 0.0);
 
   const auto all = fault::parse_fault_spec("all:0.5");
@@ -297,9 +297,11 @@ TEST(FaultSites, EverySiteYieldsDegradedOrFailedNeverCrash) {
       {"cache:0.5", SolverBackend::kAuto},
       {"factor:0.5", SolverBackend::kSparse},  // Sparse path hosts the probe.
       {"newton:0.05", SolverBackend::kAuto},
-      {"task:0.5", SolverBackend::kAuto},
       {"all:0.08", SolverBackend::kSparse},
   };
+  // No site sits at the batch worker boundary: each net is analyzed once,
+  // so nothing there can fail transiently.
+  EXPECT_FALSE(fault::parse_fault_spec("task").ok());
   for (const auto& c : cases) {
     ScopedFaults faults(c.spec, 9);
     BatchOptions opts = chaos_options(2);
@@ -385,55 +387,24 @@ TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
   }
 }
 
-TEST(FaultSites, TransientTaskFaultsRetryAndRecover) {
-  ScopedFaults faults("task:0.5", 31);
-  const auto nets = random_population(8, 37);
-
-  BatchOptions no_retry = chaos_options(2);
-  const BatchResult without = BatchAnalyzer(no_retry).analyze(nets);
-
-  BatchOptions with_retry = chaos_options(2);
-  with_retry.max_retries = 4;
-  with_retry.retry_backoff_ms = 0.0;
-  const BatchResult with = BatchAnalyzer(with_retry).analyze(nets);
-
-  // Task faults are transient (kUnavailable): without retries some nets
-  // fail; with a retry budget the independent per-attempt draws recover
-  // them. Seeds chosen so both sides are non-trivial.
-  EXPECT_GT(without.stats.failed, 0u);
-  for (const auto& nr : without.nets)
-    if (!nr.status.ok()) {
-      EXPECT_TRUE(nr.status.is_transient());
-      EXPECT_EQ(nr.attempts, 1);
-    }
-  EXPECT_LT(with.stats.failed, without.stats.failed);
-  EXPECT_GT(with.stats.retries, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos determinism across job counts
 // ---------------------------------------------------------------------------
 
 TEST(FaultDeterminism, IdenticalReportsForFixedSeedAtJobs1And8) {
   const auto nets = random_population(10, 41);
-  const char* specs[] = {"all:0.15", "newton:0.05,task:0.4", "cache:0.6"};
+  const char* specs[] = {"all:0.15", "newton:0.05,factor:0.4", "cache:0.6"};
   for (const char* spec : specs) {
     std::string text1, text8, json1, json8;
     {
       ScopedFaults faults(spec, 5);
-      BatchOptions opts = chaos_options(1);
-      opts.max_retries = 2;
-      opts.retry_backoff_ms = 0.0;
-      const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+      const BatchResult r = BatchAnalyzer(chaos_options(1)).analyze(nets);
       text1 = r.to_text();
       json1 = r.to_json();
     }
     {
       ScopedFaults faults(spec, 5);
-      BatchOptions opts = chaos_options(8);
-      opts.max_retries = 2;
-      opts.retry_backoff_ms = 0.0;
-      const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+      const BatchResult r = BatchAnalyzer(chaos_options(8)).analyze(nets);
       text8 = r.to_text();
       json8 = r.to_json();
     }

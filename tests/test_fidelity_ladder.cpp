@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "clarinet/batch_analyzer.hpp"
@@ -112,6 +113,28 @@ TEST(FidelityLadder, Tier0BoundIsConservative) {
     const double dn = analyze_delay_noise(eng, coarse_options()).delay_noise();
     EXPECT_GE(bound->dn_bound, dn) << "net " << i;
     EXPECT_GT(bound->vn_bound, 0.0);
+  }
+}
+
+TEST(FidelityLadder, Tier0BoundDominatesScreeningEstimate) {
+  // Why the classic "skip dn_est < T" screen is the ladder at margin 1:
+  // dn_bound = 2 Cc/(Cc+Cv) (trans_bound + width_bound) while dn_est =
+  // Cc/(Cc+Cv) speed trans, with speed <= 1 and trans <= trans_bound, so
+  // Tier 0 can only prune nets that Tier 1 at margin 1 prunes anyway.
+  // The seeds of the suites above and of the CLI's --seed 11 runs, half
+  // of each population scaled quiet.
+  for (const std::uint64_t seed : {20260809ull, 777ull, 11ull}) {
+    Rng rng(seed);
+    for (int i = 0; i < 64; ++i) {
+      CoupledNet net = random_coupled_net(rng);
+      if (i % 2 == 0)
+        for (auto& cc : net.couplings) cc.c *= 0.01;
+      const StatusOr<Tier0Bound> bound = try_tier0_bound(net);
+      const StatusOr<ScreeningEstimate> est = try_screen_net(net);
+      ASSERT_TRUE(bound.ok() && est.ok());
+      EXPECT_GE(bound->dn_bound, 2.0 * est->dn_est)
+          << "seed " << seed << " net " << i;
+    }
   }
 }
 
@@ -355,6 +378,45 @@ TEST(FidelityLadderBatch, CappedLadderDefersSurvivors) {
   }
   EXPECT_NE(r.to_json().find("\"deferred\":true"), std::string::npos);
   EXPECT_NE(r.to_text().find("deferred at tier1"), std::string::npos);
+}
+
+TEST(FidelityLadderBatch, MarginOneLadderPrunesExactlyTheEstimateBelowThreshold) {
+  Rng rng(11);
+  std::vector<CoupledNet> nets;
+  for (int i = 0; i < 200; ++i) nets.push_back(random_coupled_net(rng));
+
+  BatchOptions opts;
+  opts.analyzer = fast_config();
+  opts.jobs = 1;
+  opts.ladder.enabled = true;
+  opts.ladder.tier1_margin = 1.0;
+  // Survivors are deferred rather than analyzed: the prune decision is
+  // the same at max_tier 2, and this keeps 200 nets cheap.
+  opts.ladder.max_tier = 1;
+  for (const double threshold : {20 * ps, 40 * ps, 80 * ps, 150 * ps}) {
+    SCOPED_TRACE(threshold / ps);
+    opts.ladder.dn_threshold = threshold;
+    const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      const bool below = try_screen_net(nets[i])->dn_est < threshold;
+      expected += below;
+      EXPECT_EQ(r.nets[i].screened_out, below) << "net " << i;
+    }
+    EXPECT_GT(expected, 0u);
+    EXPECT_LT(expected, nets.size());
+  }
+
+  // And with the full ladder, on the first nets.
+  nets.resize(8);
+  opts.ladder.max_tier = 2;
+  opts.ladder.dn_threshold = 80 * ps;
+  const BatchResult full = BatchAnalyzer(opts).analyze(nets);
+  EXPECT_GT(full.stats.analyzed, 0u);
+  for (std::size_t i = 0; i < nets.size(); ++i)
+    EXPECT_EQ(full.nets[i].screened_out,
+              try_screen_net(nets[i])->dn_est < opts.ladder.dn_threshold)
+        << "net " << i;
 }
 
 TEST(FidelityLadderBatch, LadderOffMatchesLegacyScreening) {

@@ -18,8 +18,8 @@
 // the config flags (--jobs, --lte-tol, ...) come from its key table.
 // --config FILE loads a JSON object of keys first (flags win). Flags and
 // server `config` requests share ONE validation path, and every numeric
-// flag value is parsed strictly: a malformed one exits 2 with
-// INVALID_ARGUMENT.
+// flag value is parsed strictly: a malformed one, like an unknown flag,
+// exits 2 with INVALID_ARGUMENT.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -82,25 +82,32 @@ std::size_t count_flag(int argc, char** argv, const char* name,
 }
 
 /// Positional (non-flag) arguments, skipping the values of flags that
-/// take one.
-std::vector<std::string> positional_args(int argc, char** argv) {
-  static constexpr const char* kValueFlags[] = {
+/// take one. A flag neither here nor in the config key table is
+/// kInvalidArgument naming it: a misspelt flag must not run as a no-op.
+StatusOr<std::vector<std::string>> positional_args(int argc, char** argv) {
+  static constexpr std::string_view kSwitches[] = {
+      "--batch", "--screen", "--serve",   "--json",    "--csv",
+      "--golden", "--functional", "--recover", "--profile"};
+  static constexpr std::string_view kValueFlags[] = {
       "--random",      "--seed",        "--metrics-json", "--trace-out",
       "--inject-faults", "--fault-seed", "--socket",
       "--queue-soft",  "--queue-hard",  "--save-cache",   "--load-cache",
       "--state-dir",   "--fsync",       "--snapshot-every", "--watchdog-ms",
       "--max-request-bytes", "--max-request-nodes", "--max-design-nets"};
+  const auto listed = [](const auto& list, std::string_view arg) {
+    return std::find(std::begin(list), std::end(list), arg) != std::end(list);
+  };
   std::vector<std::string> out;
   for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] == '-') {
-      const std::string_view arg = argv[i];
-      if (AnalysisConfig::is_value_flag(arg) ||
-          std::find(std::begin(kValueFlags), std::end(kValueFlags), arg) !=
-              std::end(kValueFlags))
-        ++i;  // Skip the flag's value.
-      continue;
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with('-')) {
+      out.emplace_back(arg);
+    } else if (AnalysisConfig::is_value_flag(arg) || listed(kValueFlags, arg)) {
+      ++i;  // Skip the flag's value.
+    } else if (!AnalysisConfig::is_flag(arg) && !listed(kSwitches, arg)) {
+      return Status::InvalidArgument("unknown flag " + std::string(arg) +
+                                     " (run dnoise_cli alone for usage)");
     }
-    out.emplace_back(argv[i]);
   }
   return out;
 }
@@ -131,7 +138,7 @@ int usage() {
       "       [--profile] [--metrics-json FILE] [--trace-out FILE]\n"
       "fault injection (see DESIGN.md §10):\n"
       "       [--inject-faults site[:rate],...] [--fault-seed N]\n"
-      "       sites: parse|cache|factor|newton|task|all\n",
+      "       sites: parse|cache|factor|newton|all\n",
       AnalysisConfig::flags_usage().c_str());
   return 2;
 }
@@ -190,8 +197,7 @@ int finalize_observability(const ObsFlags& f) {
   return rc;
 }
 
-int run_screening(int argc, char** argv) {
-  const std::vector<std::string> files = positional_args(argc, argv);
+int run_screening(const std::vector<std::string>& files) {
   if (files.empty()) return usage();
 
   std::vector<CoupledNet> nets;
@@ -220,7 +226,8 @@ int run_screening(int argc, char** argv) {
   return 0;
 }
 
-int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
+int run_batch(int argc, char** argv, const std::vector<std::string>& files,
+              const AnalysisConfig& cfg) {
   std::vector<CoupledNet> nets;
   std::vector<std::string> names;
   std::vector<BatchNetResult> load_failures;
@@ -233,7 +240,6 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
       names.push_back("random" + std::to_string(i));
     }
   } else {
-    const std::vector<std::string> files = positional_args(argc, argv);
     if (files.empty()) return usage();
     for (const auto& f : files) {
       StatusOr<CoupledNet> net = try_read_spef_file(f);
@@ -397,6 +403,11 @@ int run_serve(int argc, char** argv, const AnalysisConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const StatusOr<std::vector<std::string>> files = positional_args(argc, argv);
+  if (!files.ok()) {
+    std::fprintf(stderr, "error: %s\n", files.status().to_string().c_str());
+    return 2;
+  }
   const ObsFlags obs_flags = setup_observability(argc, argv);
   // Chaos harness: install the deterministic fault-injection config before
   // any analysis runs. Probes key on stable identities (net index, cache
@@ -413,7 +424,7 @@ int main(int argc, char** argv) {
 
   int rc;
   if (has_flag(argc, argv, "--screen")) {
-    rc = run_screening(argc, argv);
+    rc = run_screening(*files);
   } else {
     // The ONE flag -> configuration path: --config FILE first, then the
     // config flags, through the validation the server's `config` verb uses.
@@ -425,7 +436,7 @@ int main(int argc, char** argv) {
     if (has_flag(argc, argv, "--serve")) {
       rc = run_serve(argc, argv, cfg);
     } else if (has_flag(argc, argv, "--batch")) {
-      rc = run_batch(argc, argv, cfg);
+      rc = run_batch(argc, argv, *files, cfg);
     } else if (argc < 2 || argv[1][0] == '-') {
       return usage();
     } else {
