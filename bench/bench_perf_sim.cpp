@@ -55,9 +55,7 @@ AnalyzerConfig with_keys(const AnalyzerConfig& c, const char* keys) {
   return cfg.batch.analyzer;
 }
 
-/// Coarse-but-representative alignment grid (the solver-bench grid), sparse
-/// backend forced for every sim family so both runs differ only in the
-/// transient engine.
+/// Coarse-but-representative alignment grid (the solver-bench grid).
 AnalyzerConfig base_config() {
   AnalyzerConfig c;
   c.table_spec.search.coarse_points = 17;
@@ -66,7 +64,7 @@ AnalyzerConfig base_config() {
   c.analysis.search.coarse_points = 17;
   c.analysis.search.fine_points = 9;
   c.analysis.search.dt = 2 * ps;
-  return with_keys(c, R"({"solver":"sparse"})");
+  return c;
 }
 
 /// The engine exactly as it was before this rework: uniform trapezoidal

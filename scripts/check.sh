@@ -81,22 +81,24 @@ if [[ "$run_chaos" == 1 ]]; then
   echo "== chaos: injected faults must degrade, not crash =="
   # A batch over SPEF decks so all four sites are live: parse (deck
   # load) and cache/factor/newton (analysis). The decks are distinct
-  # variants (the parse probe keys on deck content).
+  # variants (the parse probe keys on deck content) of a 26-node
+  # two-aggressor net, so its coupled sims exceed 16 unknowns and run on
+  # the sparse LU the factor site probes.
   # Three seeds x one mixed spec. Demands per seed: exit 0 (isolation
   # kept at least one net analyzable) and stdout byte-identical between
   # --jobs 1 and --jobs 8 (the injection hashes stable identities, never
-  # the schedule).
+  # the schedule). Across the seeds, some net must take the
+  # sparse_to_dense rung.
   chaosdir=build/chaos-decks
   mkdir -p "$chaosdir"
   rm -f "$chaosdir"/*.spef
   for i in 1 2 3 4 5 6 7 8; do
-    { head -1 tests/corpus/spef/minimal.spef
-      echo "*DESIGN chaos$i"
-      tail -n +2 tests/corpus/spef/minimal.spef
-    } > "$chaosdir/net$i.spef"
+    sed "s/^\*DESIGN .*/*DESIGN chaos$i/" tests/corpus/spef/valid_2agg.spef \
+      > "$chaosdir/net$i.spef"
   done
-  chaos_args=(--batch "$chaosdir"/net*.spef --top 5 --solver sparse
+  chaos_args=(--batch "$chaosdir"/net*.spef --top 5
               --inject-faults parse:0.25,cache:0.4,factor:0.4,newton:0.02)
+  dense_rungs=0
   for fault_seed in 1 2 3; do
     out1=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 1 2>/dev/null)
     out8=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 8 2>/dev/null)
@@ -106,7 +108,12 @@ if [[ "$run_chaos" == 1 ]]; then
       exit 1
     fi
     echo "chaos seed $fault_seed: $(printf '%s\n' "$out1" | head -1)"
+    if [[ "$out1" == *sparse_to_dense* ]]; then dense_rungs=1; fi
   done
+  if [[ "$dense_rungs" != 1 ]]; then
+    echo "chaos: no factor fault reached the sparse_to_dense rung" >&2
+    exit 1
+  fi
   # Same invariant with the fidelity ladder enabled: tier decisions and
   # pruning are per-net and deterministic, so ladder output must also be
   # byte-identical across job counts under injected faults.

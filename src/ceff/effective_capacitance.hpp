@@ -34,7 +34,7 @@ struct CeffOptions {
   /// Warm-start the repeated Thevenin-fit reference sims from the
   /// previous iteration's operating point.
   bool warm_start = true;
-  SolverOptions solver{};      // Backend for the inner linear sims.
+  SolverOptions solver{};      // Policy of the inner linear sims.
 };
 
 struct CeffResult {

@@ -9,7 +9,6 @@
 #include <type_traits>
 #include <variant>
 
-#include "matrix/solver.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -22,7 +21,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// key never overwrites another key's field and keys apply in any order;
 /// to_json reads the first.
 using Fields = std::variant<std::vector<bool*>, std::vector<int*>,
-                            std::vector<double*>, std::vector<SolverBackend*>>;
+                            std::vector<double*>>;
 
 template <class T, class... More>
 Fields refs(T* first, More*... more) {
@@ -83,13 +82,6 @@ const Key kKeys[] = {
     {.name = "prereduce", .flag = "--prereduce",
      .help = "TICER-prereduce nets before analysis",
      .fields = [](auto&, auto& a) { return refs(&a.engine.prereduce); }},
-    // One backend for every sim family.
-    {.name = "solver", .flag = "--solver", .arg = "auto|dense|sparse",
-     .help = "linear-solver backend",
-     .fields = [](auto&, auto& a) {
-       return refs(&a.engine.solver.backend, &a.engine.ceff.solver.backend,
-                   &a.engine.newton.solver.backend);
-     }},
     {.name = "dt_ps", .unit = units::ps, .lo = 0, .lo_open = true,
      .help = "reference time step",
      .fields = [](auto&, auto& a) { return refs(&a.engine.dt); }},
@@ -162,10 +154,11 @@ const Key kKeys[] = {
 };
 
 /// A key no longer in the table. Dumps written before its removal hold
-/// it at `dumped`, the value that behaves as today, so they still apply.
+/// it at `dumped` (JSON text), the value that behaves as today, so they
+/// still apply.
 struct RemovedKey {
   const char* name;
-  double dumped;
+  const char* dumped;
   const char* instead;
 };
 
@@ -175,10 +168,13 @@ constexpr const char* kRetryInstead =
     "a batch analyzes each net once (analysis is deterministic)";
 
 const RemovedKey kRemovedKeys[] = {
-    {"screen_below_ps", -1, kScreenInstead},
-    {"screen_vn_below_v", -1, kScreenInstead},
-    {"max_retries", 0, kRetryInstead},
-    {"retry_backoff_ms", 1, kRetryInstead},
+    {"screen_below_ps", "-1", kScreenInstead},
+    {"screen_vn_below_v", "-1", kScreenInstead},
+    {"max_retries", "0", kRetryInstead},
+    {"retry_backoff_ms", "1", kRetryInstead},
+    {"solver", "\"auto\"",
+     "the system size picks the linear solver (SmallLu up to 16 unknowns, "
+     "SparseLu above)"},
 };
 
 // The config flags outside the table: a file of keys, and the one flag
@@ -213,15 +209,11 @@ StatusOr<T> decode(const Key& k, const json::Value& v) {
     return *r != k.negated;
   } else if constexpr (std::is_same_v<T, int>) {
     return v.require_int(k.name);
-  } else if constexpr (std::is_same_v<T, double>) {
+  } else {
     StatusOr<double> r = v.require_number(k.name);
     if (!r.ok()) return r.status();
     // A negative time (ps/ns key) means "off" and is stored as -1.
     return k.unit != 1.0 && *r < 0 ? -1.0 : *r * k.unit;
-  } else {
-    StatusOr<std::string> r = v.require_string(k.name);
-    if (!r.ok()) return r.status();
-    return parse_solver_backend(*r);
   }
 }
 
@@ -231,8 +223,6 @@ json::Value encode(const Key& k, T field) {
     return field != k.negated;
   } else if constexpr (std::is_same_v<T, double>) {
     return k.unit != 1.0 && field < 0 ? -1.0 : field / k.unit;
-  } else if constexpr (std::is_same_v<T, SolverBackend>) {
-    return solver_backend_name(field);
   } else {
     return field;
   }
@@ -300,12 +290,10 @@ StatusOr<json::Value> flag_json(const Key& k, const std::string& text,
           if (text != "0" && text != "1")
             return bad_flag_value(k.flag, text, "0 or 1");
           return json::Value(text == "1");
-        } else if constexpr (std::is_arithmetic_v<T>) {
+        } else {
           StatusOr<T> x = parse_flag<T>(k.flag, text);
           if (!x.ok()) return x.status();
           return json::Value(*x);
-        } else {
-          return json::Value(text);
         }
       },
       k.fields(b, b.analyzer));
@@ -348,7 +336,7 @@ Status AnalysisConfig::apply(const json::Value& v) {
   AnalysisConfig staged = *this;
   for (const auto& [name, value] : v.as_object()) {
     if (const RemovedKey* r = find_removed(name)) {
-      if (value.is_number() && value.as_number() == r->dumped) continue;
+      if (value.dump() == r->dumped) continue;
       return Status::InvalidArgument("config: key \"" + name +
                                      "\" was removed; " + r->instead);
     }

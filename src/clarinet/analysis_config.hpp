@@ -1,13 +1,13 @@
 // AnalysisConfig: the ONE externally-settable configuration surface.
 //
 // Every knob a user can turn — batch fan-out, the fidelity ladder, the
-// deadline budget, engine time grid, solver backend, alignment
-// method, Rtr/Newton iteration limits — is a named JSON key, declared
-// once in the key table in analysis_config.cpp (name, CLI flag, type,
-// unit, range, scheduling or not, help, fields). apply, to_json,
-// validate, the result fingerprint and the CLI flags all read that
-// table, so every entry point shares one validation path and a bad
-// value is always kInvalidArgument, never a crash deep in the engine.
+// deadline budget, engine time grid, alignment method, Rtr/Newton
+// iteration limits — is a named JSON key, declared once in the key table
+// in analysis_config.cpp (name, CLI flag, type, unit, range, scheduling
+// or not, help, fields). apply, to_json, validate, the result
+// fingerprint and the CLI flags all read that table, so every entry
+// point shares one validation path and a bad value is always
+// kInvalidArgument, never a crash deep in the engine.
 //
 // Contract:
 //   - apply() merges keys; unknown keys and out-of-range values are

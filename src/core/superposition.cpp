@@ -33,6 +33,9 @@ std::vector<std::pair<int, double>> grounded_couplings_for_aggressor(
 SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
                                          SuperpositionOptions opts)
     : net_(net), opts_(opts) {
+  // One solver policy for every linear sim the engine runs: the Ceff
+  // sims below follow `solver` (and with it the sparse_to_dense rung).
+  opts_.ceff.solver = opts_.solver;
   if (opts_.prereduce) {
     try {
       if (opts_.reduction_cache) {
@@ -182,27 +185,13 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_victim() const {
 
   const NodeId root = vmap[0];
   const NodeId sink = vmap[static_cast<std::size_t>(net_.victim.net.sink)];
-  std::vector<NodeId> record{root, sink};
-  for (const auto& amap : amaps) record.push_back(amap[0]);
   LinearSim sim(ckt, opts_.solver);
-  const auto res = sim.try_run(transient_spec(), record);
+  const auto res = sim.try_run(transient_spec(), {root, sink});
   if (!res.ok()) raise(res.status());
   Waveforms w;
   w.at_root = res->waveform(root);
   w.at_sink = res->waveform(sink);
-  // Record the noise the victim injects on each aggressor root (the nets
-  // are at 0 quiet level in this circuit, so the waveform IS the noise).
-  for (std::size_t j = 0; j < amaps.size(); ++j)
-    victim_on_aggressor_cache_[static_cast<int>(j)] =
-        res->waveform(amaps[j][0]);
   return w;
-}
-
-const Pwl& SuperpositionEngine::victim_noise_on_aggressor(int k) const {
-  if (k < 0 || static_cast<std::size_t>(k) >= net_.aggressors.size())
-    throw std::out_of_range("victim_noise_on_aggressor: bad index");
-  victim_transition();  // Ensure the victim run populated the cache.
-  return victim_on_aggressor_cache_.at(k);
 }
 
 const SuperpositionEngine::Waveforms& SuperpositionEngine::aggressor_noise(

@@ -47,11 +47,14 @@ struct SuperpositionOptions {
   /// Warm-start repeated characterization sims from the previous
   /// operating point (devices/gate.hpp GateSimCache).
   bool warm_start = true;
+  /// The engine's Ceff sims run with `solver`, whatever ceff.solver holds.
   CeffOptions ceff{};
-  SolverOptions solver{};   // Backend for the aggressor/victim sims.
+  /// Solver policy for every linear sim of the engine: aggressor, victim
+  /// and Ceff.
+  SolverOptions solver{};
   /// Newton controls for the nonlinear verification sims run in this
-  /// engine's time frame (golden_nonlinear); the solver backend is
-  /// overridden by `solver` so one --solver flag rules every sim.
+  /// engine's time frame (golden_nonlinear); their solver policy is
+  /// overridden by `solver` too.
   NewtonOptions newton{};
   /// Opt-in TICER pre-reduction of all nets (victim and aggressors,
   /// coupling nodes protected) before characterization. Off by default:
@@ -106,11 +109,6 @@ class SuperpositionEngine {
   };
   const DriverResponse& victim_driver_response(const TransientSpec& spec) const;
 
-  /// Noise the victim transition induces on aggressor k's root (deviation
-  /// from the aggressor's quiet level) — the Figure 1(c) side effect used
-  /// by the aggressor-Rtr extension. Cached.
-  const Pwl& victim_noise_on_aggressor(int k) const;
-
   /// Sum of all aggressor noise waveforms at the victim sink, each shifted
   /// by shifts[k], victim held with holding_r. `active`, when non-null,
   /// masks aggressors out of the sum (window/correlation pruning): entry
@@ -150,7 +148,6 @@ class SuperpositionEngine {
   std::vector<CeffResult> aggressor_models_;
   mutable std::map<std::pair<int, double>, Waveforms> noise_cache_;
   mutable std::optional<Waveforms> victim_cache_;
-  mutable std::map<int, Pwl> victim_on_aggressor_cache_;
   // Deque: push_back keeps handed-out references valid.
   mutable std::deque<std::pair<TransientSpec, DriverResponse>> driver_cache_;
 };

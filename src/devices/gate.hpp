@@ -102,7 +102,7 @@ double gate_initial_output(const GateParams& gate, double vin_initial);
 /// would — the MNA matrices never depend on source waveforms, the Newton
 /// factor state is reset per run, and the reused solver's numeric
 /// refactor performs arithmetic identical to a fresh factorization (see
-/// SolverOptions::small_max_dim notes). Warm-start chaining matches a
+/// matrix/small_dense.hpp). Warm-start chaining matches a
 /// GateSimCache threaded through sequential try_simulate_gate calls in
 /// the same probe order.
 ///

@@ -6,8 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "matrix/sparse.hpp"
-
 namespace dn {
 
 Matrix Matrix::identity(std::size_t n) {
@@ -82,25 +80,6 @@ StatusOr<LuFactor> LuFactor::make(Matrix a) {
   Status s = f.factorize();
   if (!s.ok()) return s;
   return f;
-}
-
-Status LuFactor::refactor(const Matrix& a) {
-  if (a.rows() != lu_.rows() || a.cols() != lu_.cols())
-    return Status::InvalidArgument("LuFactor::refactor: shape mismatch");
-  lu_ = a;  // Same shape: reuses lu_'s existing storage, no allocation.
-  return factorize();
-}
-
-Status LuFactor::refactor(const SparseMatrix& a) {
-  if (a.rows() != lu_.rows() || a.cols() != lu_.cols())
-    return Status::InvalidArgument("LuFactor::refactor: shape mismatch");
-  lu_.fill(0.0);
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (std::size_t r = 0; r < lu_.rows(); ++r)
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) lu_(r, ci[p]) += v[p];
-  return factorize();
 }
 
 Status LuFactor::factorize() {

@@ -1,10 +1,8 @@
-// Dense linear algebra for MNA systems.
-//
-// Nets in this library are a few dozen to a few hundred nodes; dense
-// storage with partial-pivot LU is simpler and plenty fast, especially
-// since fixed-timestep transient analysis factors the system matrix once
-// and then only back-substitutes (see sim/linear_sim.*). PRIMA (mor/)
-// reduces anything genuinely large before simulation.
+// Dense linear algebra: the row-major Matrix PRIMA and the tests build
+// on, and partial-pivot LU. LuFactor is not a production solve path:
+// SystemSolver (matrix/solver.hpp) uses it only for the sparse_to_dense
+// degradation rung, and the tests use it as the reference the SmallLu
+// and SparseLu engines are checked against.
 #pragma once
 
 #include <cstddef>
@@ -14,8 +12,6 @@
 #include "util/status.hpp"
 
 namespace dn {
-
-class SparseMatrix;
 
 using Vector = std::vector<double>;
 
@@ -49,8 +45,6 @@ class Matrix {
   /// Frobenius norm.
   double norm() const;
 
-  void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
-
  private:
   std::size_t rows_ = 0, cols_ = 0;
   Vector data_;
@@ -64,19 +58,6 @@ class LuFactor {
   /// numerical singularity as kInternal — a singular MNA system is a
   /// per-net analysis failure the batch engine records and skips.
   static StatusOr<LuFactor> make(Matrix a);
-
-  /// Numeric refactorization of a same-shaped matrix reusing this
-  /// factor's storage — the zero-allocation path for fixed-pattern
-  /// Newton restamps. Full re-pivoting each call (dense partial-pivot
-  /// LU has no symbolic phase worth caching).
-  Status refactor(const Matrix& a);
-
-  /// Same-pattern numeric refactor straight from CSR: densifies into the
-  /// factor's own storage — the identical value adds in the identical
-  /// order as densify-into-a-Matrix-then-copy, minus the n^2 intermediate
-  /// copy. The Newton restamp path refactors millions of times per batch
-  /// run, so that copy was a measurable slice of stage.solver_factor.
-  Status refactor(const SparseMatrix& a);
 
   std::size_t size() const { return lu_.rows(); }
 
@@ -95,7 +76,7 @@ class LuFactor {
  private:
   LuFactor() = default;
 
-  /// Factors lu_ in place; perm_/min_pivot_ are (re)initialized.
+  /// Factors lu_ in place and fills perm_/min_pivot_.
   Status factorize();
 
   Matrix lu_;

@@ -34,36 +34,7 @@ SolverMetrics& sm() {
   return m;
 }
 
-void densify_into(const SparseMatrix& a, Matrix& m) {
-  m.fill(0.0);
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) m(r, ci[p]) += v[p];
-}
-
 }  // namespace
-
-const char* solver_backend_name(SolverBackend b) {
-  switch (b) {
-    case SolverBackend::kAuto:
-      return "auto";
-    case SolverBackend::kDense:
-      return "dense";
-    case SolverBackend::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
-StatusOr<SolverBackend> parse_solver_backend(const std::string& name) {
-  if (name == "auto") return SolverBackend::kAuto;
-  if (name == "dense") return SolverBackend::kDense;
-  if (name == "sparse") return SolverBackend::kSparse;
-  return Status::InvalidArgument("unknown solver backend '" + name +
-                                 "' (expected auto|dense|sparse)");
-}
 
 StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
                                           const SolverOptions& opts) {
@@ -71,42 +42,12 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
     return Status::InvalidArgument("SystemSolver: matrix not square");
   SystemSolver s;
   s.opts_ = opts;
-  s.backend_ = opts.backend;
-  if (s.backend_ == SolverBackend::kAuto)
-    s.backend_ = (a.rows() < opts.dense_max_dim ||
-                  a.density() > opts.density_threshold)
-                     ? SolverBackend::kDense
-                     : SolverBackend::kSparse;
 
   obs::ScopedLatency lat(sm().factor_seconds);
-  if (s.backend_ == SolverBackend::kSparse) {
-    sm().sparse_picked.add();
-    StatusOr<SparseLu> f =
-        fault::should_fail(fault::Site::kFactor)
-            ? StatusOr<SparseLu>(
-                  Status::Internal("injected fault: sparse factor"))
-            : SparseLu::make(a, opts.sparse);
-    if (f.ok()) {
-      if (obs::metrics_enabled()) {
-        sm().nnz.record(static_cast<double>(a.nnz()));
-        sm().fill_ratio.record(f->fill_ratio());
-      }
-      s.sparse_.emplace(std::move(*f));
-      return s;
-    }
-    if (!opts.allow_dense_fallback) return f.status();
-    // Degradation ladder: sparse pivot breakdown -> dense backend.
-    degrade::record(DegradeKind::kSparseToDense,
-                    "sparse factor failed (" + f.status().message() +
-                        "); forced dense backend");
-    s.backend_ = SolverBackend::kDense;
-  }
-  sm().dense_picked.add();
-  // Small-system fast path: the unrolled stack kernels do the same
-  // arithmetic as LuFactor with none of the heap/loop overhead. The CSR
-  // input densifies straight into the kernel's block — no scratch Matrix.
-  if (a.rows() > 0 && a.rows() <= opts.small_max_dim &&
-      a.rows() <= kSmallLuMaxDim) {
+  if (a.rows() <= kSmallLuMaxDim) {
+    // The unrolled stack kernels densify the CSR input straight into
+    // their own block: no heap, no scratch Matrix.
+    sm().dense_picked.add();
     sm().small_picked.add();
     SmallLu lu;
     Status st = lu.factorize(a);
@@ -114,31 +55,45 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
     s.small_.emplace(lu);
     return s;
   }
-  s.dense_scratch_ = Matrix(a.rows(), a.cols());
-  densify_into(a, s.dense_scratch_);
-  auto f = LuFactor::make(s.dense_scratch_);
-  if (!f.ok()) return f.status();
-  s.dense_.emplace(std::move(*f));
+  sm().sparse_picked.add();
+  StatusOr<SparseLu> f =
+      fault::should_fail(fault::Site::kFactor)
+          ? StatusOr<SparseLu>(Status::Internal("injected fault: sparse factor"))
+          : SparseLu::make(a);
+  if (f.ok()) {
+    if (obs::metrics_enabled()) {
+      sm().nnz.record(static_cast<double>(a.nnz()));
+      sm().fill_ratio.record(f->fill_ratio());
+    }
+    s.sparse_.emplace(std::move(*f));
+    return s;
+  }
+  if (!opts.allow_dense_fallback) return f.status();
+  // Degradation ladder: sparse pivot breakdown -> dense LU.
+  degrade::record(DegradeKind::kSparseToDense,
+                  "sparse factor failed (" + f.status().message() +
+                      "); forced dense backend");
+  sm().dense_picked.add();
+  Status st = s.factor_dense(a);
+  if (!st.ok()) return st;
   return s;
+}
+
+Status SystemSolver::factor_dense(const SparseMatrix& a) {
+  auto f = LuFactor::make(a.to_dense());
+  if (!f.ok()) return f.status();
+  dense_.emplace(std::move(*f));
+  sparse_.reset();
+  return Status::Ok();
 }
 
 Status SystemSolver::refactor(const SparseMatrix& a) {
   sm().refactors.add();
   obs::ScopedLatency lat(sm().factor_seconds);
-  if (backend_ == SolverBackend::kDense) {
-    if (!dense_ && !small_)
-      return Status::Internal("SystemSolver: not factored");
-    // Both dense sub-backends densify straight from CSR into their own
-    // factor storage (same adds, same order as a scratch densify — the
-    // values and therefore the factors are bit-identical).
-    if (small_) {
-      if (a.rows() != small_->size() || a.cols() != small_->size())
-        return Status::InvalidArgument("SystemSolver::refactor: shape mismatch");
-      return small_->factorize(a);
-    }
-    return dense_->refactor(a);
-  }
-  if (!sparse_) return Status::Internal("SystemSolver: not factored");
+  if (a.rows() != size() || a.cols() != size())
+    return Status::InvalidArgument("SystemSolver::refactor: shape mismatch");
+  if (small_) return small_->factorize(a);
+  if (dense_) return factor_dense(a);
   Status s;
   if (fault::should_fail(fault::Site::kFactor)) {
     s = Status::Internal("injected fault: sparse refactor");
@@ -148,7 +103,7 @@ Status SystemSolver::refactor(const SparseMatrix& a) {
     // The replayed pivot sequence went bad for the new values: re-pivot
     // from scratch (KLU-style fallback) before giving up.
     sm().refactor_fallbacks.add();
-    auto f = SparseLu::make(a, opts_.sparse);
+    auto f = SparseLu::make(a);
     if (f.ok()) {
       *sparse_ = std::move(*f);
       return Status::Ok();
@@ -157,18 +112,11 @@ Status SystemSolver::refactor(const SparseMatrix& a) {
   }
   if (!opts_.allow_dense_fallback) return s;
   // Degradation ladder: even re-pivoting failed -> densify and carry on
-  // with the dense backend for the remaining refactors.
+  // with dense LU for the remaining refactors.
   degrade::record(DegradeKind::kSparseToDense,
                   "sparse refactor failed (" + s.message() +
                       "); forced dense backend");
-  dense_scratch_ = Matrix(a.rows(), a.cols());
-  densify_into(a, dense_scratch_);
-  auto f = LuFactor::make(dense_scratch_);
-  if (!f.ok()) return f.status();
-  dense_.emplace(std::move(*f));
-  sparse_.reset();
-  backend_ = SolverBackend::kDense;
-  return Status::Ok();
+  return factor_dense(a);
 }
 
 Vector SystemSolver::solve(std::span<const double> b) const {

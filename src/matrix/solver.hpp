@@ -1,17 +1,16 @@
-// SystemSolver: one factor/solve facade over dense LuFactor and SparseLu.
+// SystemSolver: one factor/solve facade over the LU engines.
 //
 // The simulators and PRIMA never care which storage format backs a
 // factorization — they need factor-once/backsub-many and, for Newton,
-// cheap same-pattern refactorization. This facade picks the backend per
-// system (small or genuinely dense systems stay on the dense path, large
-// sparse MNA systems go to SparseLu) and callers can force either via
-// SolverOptions, which the CLI exposes as --solver.
+// cheap same-pattern refactorization. The system's size picks the
+// engine: the stack-allocated SmallLu kernels (matrix/small_dense.hpp)
+// up to kSmallLuMaxDim = 16 unknowns, SparseLu above. Dense LuFactor
+// serves only the sparse_to_dense degradation rung (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "matrix/dense.hpp"
 #include "matrix/small_dense.hpp"
@@ -20,52 +19,29 @@
 
 namespace dn {
 
-enum class SolverBackend {
-  kAuto = 0,  // Pick per system by dimension and density.
-  kDense,
-  kSparse,
-};
-
-const char* solver_backend_name(SolverBackend b);
-/// Parses "auto" / "dense" / "sparse" (kInvalidArgument otherwise).
-StatusOr<SolverBackend> parse_solver_backend(const std::string& name);
-
 struct SolverOptions {
-  SolverBackend backend = SolverBackend::kAuto;
-  /// kAuto stays dense below this dimension: dense LU's constant factors
-  /// beat the sparse ordering + DFS overhead on small MNA systems.
-  std::size_t dense_max_dim = 96;
-  /// Systems at or below this dimension (and <= kSmallLuMaxDim) use the
-  /// stack-allocated unrolled kernels of matrix/small_dense.hpp instead of
-  /// the heap-backed generic dense LU. Bit-identical results either way
-  /// (pinned by the BackendEquivalence tests); 0 disables the fast path.
-  std::size_t small_max_dim = kSmallLuMaxDim;
-  /// kAuto stays dense above this nnz/(n*n): fill-in would make the
-  /// sparse factors about as dense as the dense ones anyway.
-  double density_threshold = 0.25;
   /// Degradation-ladder rung (DESIGN.md §10): when a sparse
   /// factorization or refactorization fails outright (pivot breakdown
-  /// even after re-pivoting), densify and retry on the dense backend
-  /// instead of failing the solve. Each fallback is recorded via
-  /// dn::degrade. Off turns sparse failure back into a hard error.
+  /// even after re-pivoting), densify and retry with dense LU instead of
+  /// failing the solve. Each fallback is recorded via dn::degrade. Off
+  /// turns sparse failure back into a hard error.
   bool allow_dense_fallback = true;
-  SparseLuOptions sparse{};
 };
 
-/// A factored linear system behind the backend chosen from SolverOptions.
+/// A factored linear system: SmallLu for n <= 16, SparseLu above.
 /// Instrumented with dn::obs metrics (factor/solve latency, backend
 /// counts, sparse nnz and fill-in) — visible via the CLI's --profile.
 class SystemSolver {
  public:
-  /// Factors `a` with the backend resolved from `opts` (kAuto picks by
-  /// dimension/density). Singularity comes back as kInternal.
+  /// Factors `a` with the engine its size picks. Singularity comes back
+  /// as kInternal, a non-square or empty `a` as kInvalidArgument.
   static StatusOr<SystemSolver> make(const SparseMatrix& a,
                                      const SolverOptions& opts = {});
 
   /// Refactors a matrix with the SAME pattern as the one given to make()
   /// — numeric-only replay on the sparse path (falling back to a fresh
-  /// re-pivoting factorization if the replayed pivots go bad), a
-  /// zero-allocation dense refactorization otherwise.
+  /// re-pivoting factorization if the replayed pivots go bad), an
+  /// in-place refactorization on the small kernels.
   Status refactor(const SparseMatrix& a);
 
   Vector solve(std::span<const double> b) const;
@@ -81,9 +57,7 @@ class SystemSolver {
   /// solves are bit-identical.
   void solve_batch(std::span<double> cols, std::size_t k) const;
 
-  /// The resolved backend: kDense or kSparse, never kAuto.
-  SolverBackend backend() const { return backend_; }
-  /// True when the dense backend is served by the unrolled small kernels.
+  /// True when the unrolled small kernels serve this system (n <= 16).
   bool uses_small_kernel() const { return small_.has_value(); }
   std::size_t size() const;
   double min_pivot() const;
@@ -91,12 +65,14 @@ class SystemSolver {
  private:
   SystemSolver() = default;
 
-  SolverBackend backend_ = SolverBackend::kDense;
+  /// The sparse_to_dense rung: densifies `a` and factors it with LuFactor,
+  /// which then serves every later solve and refactor.
+  Status factor_dense(const SparseMatrix& a);
+
   SolverOptions opts_{};
-  std::optional<SmallLu> small_;  // Dense sub-backend for dims <= 16.
-  std::optional<LuFactor> dense_;
-  std::optional<SparseLu> sparse_;
-  Matrix dense_scratch_;  // Densification target reused across refactors.
+  std::optional<SmallLu> small_;   // n <= 16.
+  std::optional<SparseLu> sparse_;  // n > 16.
+  std::optional<LuFactor> dense_;   // n > 16 after a sparse failure.
 };
 
 }  // namespace dn

@@ -208,6 +208,10 @@ std::vector<std::int32_t> min_degree_order(const SparseMatrix& a) {
 
 namespace {
 
+/// Threshold partial pivoting: the structural diagonal stays the pivot
+/// while |a_diag| >= kPivotTol * |a_max| in its column.
+constexpr double kPivotTol = 1e-3;
+
 /// min_degree_order memoized on the sparsity pattern. The ordering is a
 /// pure function of the pattern, costs O(n^2), and the analysis flow
 /// factors the same few patterns dozens of times per net (victim and
@@ -246,10 +250,8 @@ std::vector<std::int32_t> min_degree_order_cached(const SparseMatrix& a) {
 // SparseLu.
 // ---------------------------------------------------------------------------
 
-StatusOr<SparseLu> SparseLu::make(const SparseMatrix& a,
-                                  const SparseLuOptions& opts) {
+StatusOr<SparseLu> SparseLu::make(const SparseMatrix& a) {
   SparseLu f;
-  f.opts_ = opts;
   Status s = f.factor_fresh(a);
   if (!s.ok()) return s;
   return f;
@@ -346,7 +348,7 @@ Status SparseLu::factor_fresh(const SparseMatrix& a) {
     }
 
     // Pivot: largest unpivotal magnitude; prefer the structural diagonal
-    // when it is within pivot_tol of the max (keeps the ordering's fill).
+    // when it is within kPivotTol of the max (keeps the ordering's fill).
     double amax = 0.0;
     std::int32_t ipiv = -1;
     for (const std::int32_t j : topo) {
@@ -360,7 +362,7 @@ Status SparseLu::factor_fresh(const SparseMatrix& a) {
     if (!(amax > 0.0) || !std::isfinite(amax))
       return Status::Internal("SparseLu: singular matrix (column " +
                               std::to_string(col) + ")");
-    if (pinv_[col] < 0 && std::abs(x[col]) >= opts_.pivot_tol * amax) ipiv = col;
+    if (pinv_[col] < 0 && std::abs(x[col]) >= kPivotTol * amax) ipiv = col;
     const double pivot = x[ipiv];
     min_pivot_ = std::min(min_pivot_, std::abs(pivot));
     pinv_[ipiv] = km;

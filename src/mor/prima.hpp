@@ -54,7 +54,7 @@ struct ReducedModel {
 /// Reduces `full` to (at most) `order` states via block Arnoldi on
 /// A = G^{-1} C with starting block R = G^{-1} B and modified Gram-Schmidt
 /// orthogonalization. Deflation may return fewer states than requested.
-/// `solver` picks the backend for the G factorization.
+/// `solver` holds the G factorization's dense-fallback policy.
 ReducedModel prima(const SparseDescriptorSystem& full, int order,
                    const SolverOptions& solver = {});
 ReducedModel prima(const DescriptorSystem& full, int order);

@@ -52,7 +52,7 @@ struct NewtonOptions {
   /// before a fresh restamp+refactor is forced. 0 = classic full Newton
   /// (refactor every iteration).
   int stale_jacobian_iters = 16;
-  SolverOptions solver{};     // Backend for the Newton linear solves.
+  SolverOptions solver{};     // Policy of the Newton linear solves.
 };
 
 class NonlinearSim {

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "matrix/solver.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -37,7 +36,7 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   AnalysisConfig cfg;
   const Status applied = cfg.apply(*json::parse(R"({
     "jobs": 3, "top_k": 7, "deadline_ms": 250, "exhaustive": true, "thevenin": true,
-    "prereduce": true, "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
+    "prereduce": true, "dt_ps": 2, "horizon_ns": 4,
     "model_alignment_iterations": 2, "rtr_max_iterations": 6,
     "newton_max_iterations": 50, "newton_v_tol": 1e-8})"));
   ASSERT_TRUE(applied.ok()) << applied.to_string();
@@ -48,7 +47,6 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   EXPECT_FALSE(
       cfg.batch.analyzer.analysis.use_transient_holding);  // thevenin
   EXPECT_TRUE(cfg.batch.analyzer.engine.prereduce);
-  EXPECT_EQ(cfg.batch.analyzer.engine.solver.backend, SolverBackend::kSparse);
   EXPECT_EQ(cfg.batch.analyzer.engine.newton.max_iterations, 50);
 
   // Fixed-point: serialize, reparse, serialize again -> identical bytes.
@@ -76,7 +74,6 @@ TEST(AnalysisConfig, BadTypesAndRangesAreInvalidArgumentNotCrashes) {
       "{\"dt_ps\":5,\"horizon_ns\":0.000001}",  // horizon <= dt
       "{\"model_alignment_iterations\":0}",
       "{\"newton_v_tol\":-1}",
-      "{\"solver\":\"quantum\"}",
       "{\"exhaustive\":1}",           // bool expected
       "[]",                           // not an object
   };
@@ -125,7 +122,6 @@ const std::vector<std::pair<std::string, std::string>> kNonDefault = {
     {"exhaustive", "true"},
     {"thevenin", "true"},
     {"prereduce", "true"},
-    {"solver", "\"sparse\""},
     {"dt_ps", "2"},
     {"horizon_ns", "8"},
     {"model_alignment_iterations", "3"},
@@ -149,7 +145,8 @@ const std::map<std::string, std::string> kRemovedKeys = {
     {"screen_below_ps", "-1"},
     {"screen_vn_below_v", "-1"},
     {"max_retries", "0"},
-    {"retry_backoff_ms", "1"}};
+    {"retry_backoff_ms", "1"},
+    {"solver", "\"auto\""}};
 
 json::Value one_key(const std::string& key, const std::string& value) {
   json::Object o;
@@ -237,14 +234,14 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   // A dump written before the key table (flow keys first, per-family
   // overrides after, read in document order), with non-default flow and
   // override values. Server snapshots in this form must still recover.
-  // The four keys removed since hold the values every such dump has.
+  // The five keys removed since hold the values every such dump has.
   const char* kOldDump =
       R"({"jobs":3,"top_k":7,"screen_below_ps":-1,"screen_vn_below_v":-1,)"
       R"("fidelity_ladder":true,"fidelity_threshold_ps":12.5,)"
       R"("fidelity_margin":3,"fidelity_max_tier":2,"window_pruning":true,)"
       R"("max_retries":0,"retry_backoff_ms":1,"deadline_ms":-1,)"
       R"("exhaustive":false,"thevenin":false,"prereduce":false,)"
-      R"("solver":"dense","dt_ps":1,"horizon_ns":4,)"
+      R"("solver":"auto","dt_ps":1,"horizon_ns":4,)"
       R"("model_alignment_iterations":2,"rtr_max_iterations":4,)"
       R"("newton_max_iterations":80,"newton_v_tol":9.9999999999999995e-08,)"
       R"("lte_tol":0.001,"max_dt_growth":8,"ceff_max_dt_growth":16,)"
@@ -260,9 +257,6 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   EXPECT_EQ(cfg->to_json_text(), json::Value(std::move(current)).dump());
 
   const AnalyzerConfig& a = cfg->batch.analyzer;
-  EXPECT_EQ(a.engine.solver.backend, SolverBackend::kDense);
-  EXPECT_EQ(a.engine.ceff.solver.backend, SolverBackend::kDense);
-  EXPECT_EQ(a.engine.newton.solver.backend, SolverBackend::kDense);
   for (const double tol :
        {a.engine.lte_tol, a.engine.ceff.lte_tol, a.engine.ceff.fit.lte_tol,
         a.analysis.search.lte_tol, a.table_spec.search.lte_tol})
@@ -304,6 +298,21 @@ TEST(AnalysisConfigTable, RemovedKeysApplyOnlyAtTheirOldDumpedValues) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(AnalysisConfigTable, RemovedSolverKeyAppliesOnlyAtAuto) {
+  // Parent dumps hold "solver":"auto"; a forced backend is gone, because
+  // the system size picks the linear solver.
+  AnalysisConfig cfg;
+  EXPECT_TRUE(cfg.apply(one_key("solver", "\"auto\"")).ok());
+  EXPECT_EQ(cfg.to_json_text(), AnalysisConfig{}.to_json_text());
+  for (const char* forced : {"\"dense\"", "\"sparse\"", "1"}) {
+    SCOPED_TRACE(forced);
+    const Status s = cfg.apply(one_key("solver", forced));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("system size"), std::string::npos);
+  }
+  EXPECT_FALSE(AnalysisConfig::is_flag("--solver"));
+}
+
 TEST(AnalysisConfigTable, DefaultsMatchTheGoldenDump) {
   const std::string path = std::string(DN_GOLDEN_DIR) + "/config_defaults.json";
   std::ifstream in(path, std::ios::binary);
@@ -321,7 +330,7 @@ TEST(AnalysisConfigFlags, MalformedValuesAreRejectedNamingTheFlag) {
       {"--jobs", "2.5"},       {"--top", ""},
       {"--fidelity-threshold", "5ps"}, {"--lte-tol", "inf"},
       {"--warm-start", "yes"}, {"--fidelity", "3"},
-      {"--solver", "quantum"}, {"--max-dt-growth"}};
+      {"--max-dt-growth"}};
   for (const auto& args : bad) {
     SCOPED_TRACE(args[0]);
     AnalysisConfig cfg;
@@ -343,9 +352,9 @@ TEST(AnalysisConfigFlags, FlagsEqualApplyingTheirKeys) {
        {{"x.spef", "--exhaustive", "--fidelity", "1", "--warm-start", "0"},
         R"({"exhaustive":true,"fidelity_ladder":true,"fidelity_max_tier":1,)"
         R"("warm_start":false})"},
-       {{"--fidelity-threshold", "20", "--lte-tol", "1e-3", "--solver",
-         "sparse", "--stale-jacobian-iters", "0", "--max-dt-growth", "8"},
-        R"({"fidelity_threshold_ps":20,"lte_tol":1e-3,"solver":"sparse",)"
+       {{"--fidelity-threshold", "20", "--lte-tol", "1e-3",
+         "--stale-jacobian-iters", "0", "--max-dt-growth", "8"},
+        R"({"fidelity_threshold_ps":20,"lte_tol":1e-3,)"
         R"("stale_jacobian_iters":0,"max_dt_growth":8})"},
        {{"--fidelity", "off"}, R"({"fidelity_ladder":false})"}};
   for (const auto& [args, keys] : cases) {

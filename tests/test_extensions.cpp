@@ -1,5 +1,4 @@
-// Tests for the paper's extension features: aggressor-side transient
-// holding resistance (Section 2, last paragraph), quiet-victim holding
+// Tests for the paper's extension features: quiet-victim holding
 // resistance + functional noise, and speed-up (delay-decreasing) noise.
 #include <gtest/gtest.h>
 
@@ -14,35 +13,6 @@ namespace dn {
 namespace {
 
 using namespace dn::units;
-
-TEST(AggressorRtr, VictimInducesNoiseOnAggressor) {
-  const CoupledNet net = example_coupled_net(1);
-  SuperpositionEngine eng(net);
-  const Pwl& noise = eng.victim_noise_on_aggressor(0);
-  // Rising victim pushes the (quiet-high... quiet at 0-deviation) aggressor
-  // net up through the coupling caps.
-  EXPECT_GT(noise.peak().value, 0.01);
-  EXPECT_NEAR(noise.at(noise.t_end()), 0.0, 2e-3);
-  EXPECT_THROW(eng.victim_noise_on_aggressor(7), std::out_of_range);
-}
-
-TEST(AggressorRtr, QuietAggressorHoldsStrongerThanRth) {
-  // A held driver sits at a rail in deep triode: its transient holding
-  // resistance must come out well BELOW the transition-aggregate Rth.
-  const CoupledNet net = example_coupled_net(1);
-  SuperpositionEngine eng(net);
-  const AggressorRtrResult r = compute_aggressor_rtr(eng, 0);
-  EXPECT_GT(r.rth, 0.0);
-  // Strictly below Rth (triode at the rail), though not dramatically so
-  // for a strong driver whose aggregate Rth is already near its triode
-  // resistance.
-  EXPECT_LT(r.rtr, r.rth);
-  EXPECT_GT(r.rtr, 0.3 * r.rth);
-  EXPECT_FALSE(r.vn_linear.empty());
-  EXPECT_FALSE(r.vn_nonlinear.empty());
-  // Same polarity pulses.
-  EXPECT_GT(r.vn_linear.peak().value * r.vn_nonlinear.peak().value, 0.0);
-}
 
 TEST(QuietHolding, RailHoldingIsTriodeStrong) {
   GateParams inv;

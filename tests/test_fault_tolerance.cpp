@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "clarinet/batch_analyzer.hpp"
+#include "core/superposition.hpp"
 #include "rcnet/random_nets.hpp"
 #include "rcnet/spef.hpp"
 #include "util/deadline.hpp"
@@ -292,24 +293,24 @@ TEST(FaultSites, EverySiteYieldsDegradedOrFailedNeverCrash) {
   const auto nets = random_population(6, 21);
   const struct {
     const char* spec;
-    SolverBackend backend;
+    bool factor;  // Probes the sparse factorizations (n > 16).
   } cases[] = {
-      {"cache:0.5", SolverBackend::kAuto},
-      {"factor:0.5", SolverBackend::kSparse},  // Sparse path hosts the probe.
-      {"newton:0.05", SolverBackend::kAuto},
-      {"all:0.08", SolverBackend::kSparse},
+      {"cache:0.5", false},
+      {"factor:0.5", true},
+      {"newton:0.05", false},
+      {"all:0.08", true},
   };
   // No site sits at the batch worker boundary: each net is analyzed once,
   // so nothing there can fail transiently.
   EXPECT_FALSE(fault::parse_fault_spec("task").ok());
   for (const auto& c : cases) {
     ScopedFaults faults(c.spec, 9);
-    BatchOptions opts = chaos_options(2);
-    opts.analyzer.engine.solver.backend = c.backend;
-    opts.analyzer.engine.ceff.solver.backend = c.backend;
-    BatchAnalyzer engine(opts);
+    BatchAnalyzer engine(chaos_options(2));
     const BatchResult result = engine.analyze(nets);
     ASSERT_EQ(result.nets.size(), nets.size()) << c.spec;
+    if (c.factor) {
+      EXPECT_GT(fault::injected(fault::Site::kFactor), 0u) << c.spec;
+    }
     for (const auto& nr : result.nets) {
       // Every net concluded with a classified outcome and a coherent
       // status/result pairing.
@@ -360,9 +361,7 @@ TEST(FaultSites, CacheFaultWithPolicyOffFailsInsteadOfDegrading) {
 }
 
 TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
-  BatchOptions opts = chaos_options(2);
-  opts.analyzer.engine.solver.backend = SolverBackend::kSparse;
-  opts.analyzer.engine.ceff.solver.backend = SolverBackend::kSparse;
+  const BatchOptions opts = chaos_options(2);
   const auto nets = random_population(4, 29);
 
   BatchResult clean = BatchAnalyzer(opts).analyze(nets);
@@ -385,6 +384,24 @@ TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
                 clean.nets[i].result.delay_noise(),
                 1e-4 * ps + 1e-5 * std::abs(clean.nets[i].result.delay_noise()));
   }
+}
+
+TEST(FaultSites, DenseFallbackOffReachesTheCeffSims) {
+  // The Ceff sims follow the engine's solver policy: with the
+  // sparse_to_dense rung off, a failed factorization of a >16-unknown
+  // Ceff sim fails the engine instead of falling back to dense LU.
+  RandomNetConfig cfg;
+  cfg.min_segments = cfg.max_segments = 100;  // Ceff sims of ~100 unknowns.
+  Rng rng(5);
+  const CoupledNet net = random_coupled_net(rng, cfg);
+  SuperpositionOptions opts;
+  opts.solver.allow_dense_fallback = false;
+  ScopedFaults faults("factor:1", 3);
+  degrade::ScopedLog log;
+  EXPECT_ANY_THROW(SuperpositionEngine(net, opts));
+  EXPECT_GT(fault::injected(fault::Site::kFactor), 0u);
+  for (const Degradation& d : log.take())
+    EXPECT_NE(d.kind, DegradeKind::kSparseToDense) << d.detail;
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "matrix/small_dense.hpp"
 #include "matrix/solver.hpp"
+#include "matrix/sparse.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -118,28 +119,32 @@ TEST(Lu, NotSquareIsInvalidArgument) {
 }
 
 TEST(Lu, RefactorReusesStorage) {
+  // Refactoring goes through the SystemSolver facade, which refactors a
+  // small system inside its own SmallLu block.
   Matrix a(2, 2);
   a(0, 0) = 2;
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  auto lu = LuFactor::make(a);
+  auto lu = SystemSolver::make(SparseMatrix::from_dense(a));
   ASSERT_TRUE(lu.ok());
 
   Matrix a2 = a;
   a2(0, 0) = 4;  // New values, same shape.
-  ASSERT_TRUE(lu->refactor(a2).ok());
+  ASSERT_TRUE(lu->refactor(SparseMatrix::from_dense(a2)).ok());
   const Vector x = lu->solve(Vector{5.0, 4.0});
   EXPECT_NEAR(4.0 * x[0] + x[1], 5.0, 1e-12);
   EXPECT_NEAR(x[0] + 3.0 * x[1], 4.0, 1e-12);
 
-  EXPECT_EQ(lu->refactor(Matrix(3, 3)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(lu->refactor(SparseMatrix::from_dense(Matrix(3, 3))).code(),
+            StatusCode::kInvalidArgument);
   Matrix sing(2, 2);
   sing(0, 0) = 1;
   sing(0, 1) = 2;
   sing(1, 0) = 2;
   sing(1, 1) = 4;
-  EXPECT_EQ(lu->refactor(sing).code(), StatusCode::kInternal);
+  EXPECT_EQ(lu->refactor(SparseMatrix::from_dense(sing)).code(),
+            StatusCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +194,7 @@ TEST(BackendEquivalence, SmallLuMatchesLuFactorBitwise) {
 
 TEST(BackendEquivalence, RefactorMatchesFreshFactor) {
   // SmallLu::factorize doubles as the refactor entry; after restamping it
-  // must agree bitwise with LuFactor::refactor on the same values.
+  // must agree bitwise with a fresh LuFactor of the same values.
   Rng rng(7);
   for (std::size_t n = 2; n <= kSmallLuMaxDim; n += 3) {
     const Matrix a0 = random_system(rng, n);
@@ -199,7 +204,8 @@ TEST(BackendEquivalence, RefactorMatchesFreshFactor) {
     ASSERT_TRUE(small.factorize(a0).ok());
 
     const Matrix a1 = random_system(rng, n);
-    ASSERT_TRUE(lu->refactor(a1).ok());
+    lu = LuFactor::make(a1);
+    ASSERT_TRUE(lu.ok());
     ASSERT_TRUE(small.factorize(a1).ok());
     Vector b(n);
     for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
@@ -268,23 +274,19 @@ TEST(BackendEquivalence, SystemSolverSelectsSmallKernelAndMatchesGeneric) {
   Vector b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
 
-  SolverOptions small_opts;  // Defaults: small path active below dim 16.
   obs::set_metrics_enabled(true);
   const std::uint64_t before =
       obs::metrics().counter("solver.backend.small_dense").value();
-  auto s_small = SystemSolver::make(sp, small_opts);
+  auto s_small = SystemSolver::make(sp);
   obs::set_metrics_enabled(false);
   ASSERT_TRUE(s_small.ok());
   EXPECT_TRUE(s_small->uses_small_kernel());
-  EXPECT_EQ(s_small->backend(), SolverBackend::kDense);
   EXPECT_EQ(obs::metrics().counter("solver.backend.small_dense").value(),
             before + 1);
 
-  SolverOptions generic_opts;
-  generic_opts.small_max_dim = 0;  // Force the heap-backed dense LU.
-  auto s_generic = SystemSolver::make(sp, generic_opts);
+  // The generic dense LU is the oracle.
+  auto s_generic = LuFactor::make(a);
   ASSERT_TRUE(s_generic.ok());
-  EXPECT_FALSE(s_generic->uses_small_kernel());
 
   const Vector x_small = s_small->solve(b);
   const Vector x_generic = s_generic->solve(b);

@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 
 #include "circuit/circuit.hpp"
 #include "circuit/mna.hpp"
 #include "matrix/solver.hpp"
+#include "util/fault_injection.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "waveform/pwl.hpp"
 
@@ -203,73 +207,104 @@ TEST(SparseLu, RefactorReplaysSymbolicAnalysis) {
   EXPECT_EQ(lu->refactor(other).code(), StatusCode::kInvalidArgument);
 }
 
+/// Arms `spec` for the scope (factor:1 sends every n > 16 factorization
+/// down the sparse_to_dense rung).
+struct ScopedFaults {
+  explicit ScopedFaults(const char* spec) {
+    fault::install(*fault::parse_fault_spec(spec), 1);
+  }
+  ~ScopedFaults() { fault::clear(); }
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::metrics().counter(name).value();
+}
+
 TEST(SystemSolver, ForcedBackendsAgree) {
+  // The facade (SparseLu at this size) against dense LU directly.
   const Circuit c = make_ladder(120);
   const MnaSystem mna(c);
   const Vector b = mna.rhs(0.0);
 
-  SolverOptions dense_opts, sparse_opts;
-  dense_opts.backend = SolverBackend::kDense;
-  sparse_opts.backend = SolverBackend::kSparse;
-  auto sd = SystemSolver::make(mna.Gs(), dense_opts);
-  auto ss = SystemSolver::make(mna.Gs(), sparse_opts);
-  ASSERT_TRUE(sd.ok());
+  auto ss = SystemSolver::make(mna.Gs());
+  auto sd = LuFactor::make(mna.Gs().to_dense());
   ASSERT_TRUE(ss.ok());
-  EXPECT_EQ(sd->backend(), SolverBackend::kDense);
-  EXPECT_EQ(ss->backend(), SolverBackend::kSparse);
+  ASSERT_TRUE(sd.ok());
+  EXPECT_FALSE(ss->uses_small_kernel());
 
   const Vector xd = sd->solve(b);
   const Vector xs = ss->solve(b);
-  ASSERT_EQ(xd.size(), mna.dim());
+  ASSERT_EQ(xs.size(), mna.dim());
   for (std::size_t i = 0; i < mna.dim(); ++i) EXPECT_NEAR(xs[i], xd[i], 1e-9);
 }
 
 TEST(SystemSolver, AutoSelectsByDimensionAndDensity) {
-  SolverOptions opts;  // kAuto defaults.
-  const Circuit small = make_ladder(10);
+  // The size alone picks the engine: 16 unknowns -> SmallLu, 17 ->
+  // SparseLu, even for a fully dense 17 x 17 system.
+  const Circuit small = make_ladder(15);
   const MnaSystem small_mna(small);
-  auto s_small = SystemSolver::make(small_mna.Gs(), opts);
-  ASSERT_TRUE(s_small.ok());
-  EXPECT_EQ(s_small->backend(), SolverBackend::kDense);
-
-  const Circuit big = make_ladder(200);
+  ASSERT_EQ(small_mna.dim(), kSmallLuMaxDim);
+  const Circuit big = make_ladder(16);
   const MnaSystem big_mna(big);
-  auto s_big = SystemSolver::make(big_mna.Gs(), opts);
-  ASSERT_TRUE(s_big.ok());
-  EXPECT_EQ(s_big->backend(), SolverBackend::kSparse);
+  ASSERT_EQ(big_mna.dim(), kSmallLuMaxDim + 1);
+  Matrix full(17, 17, 1.0);
+  for (std::size_t i = 0; i < 17; ++i) full(i, i) = 40.0;
+
+  obs::set_metrics_enabled(true);
+  const std::uint64_t small0 = counter("solver.backend.small_dense");
+  const std::uint64_t sparse0 = counter("solver.backend.sparse");
+  auto s_small = SystemSolver::make(small_mna.Gs());
+  auto s_big = SystemSolver::make(big_mna.Gs());
+  auto s_full = SystemSolver::make(SparseMatrix::from_dense(full));
+  obs::set_metrics_enabled(false);
+  ASSERT_TRUE(s_small.ok() && s_big.ok() && s_full.ok());
+  EXPECT_TRUE(s_small->uses_small_kernel());
+  EXPECT_FALSE(s_big->uses_small_kernel());
+  EXPECT_FALSE(s_full->uses_small_kernel());
+  EXPECT_EQ(counter("solver.backend.small_dense"), small0 + 1);
+  EXPECT_EQ(counter("solver.backend.sparse"), sparse0 + 2);
+
+  EXPECT_EQ(SystemSolver::make(SparseMatrix::from_dense(Matrix(0, 0)))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SystemSolver, RefactorAcrossBackends) {
-  const Circuit c = make_ladder(60);
-  const MnaSystem mna(c);
-  const Vector b = mna.rhs(0.0);
-  for (const SolverBackend backend :
-       {SolverBackend::kDense, SolverBackend::kSparse}) {
-    SolverOptions opts;
-    opts.backend = backend;
+  // SmallLu (ladder 10), SparseLu (ladder 60), and the dense rung (ladder
+  // 60 with every sparse factorization failing): a refactor matches a
+  // fresh factorization of the new values.
+  const struct {
+    int nodes;
+    const char* faults;
+  } cases[] = {{10, ""}, {60, ""}, {60, "factor:1"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.nodes);
+    const Circuit ckt = make_ladder(c.nodes);
+    const MnaSystem mna(ckt);
+    const Vector b = mna.rhs(0.0);
     SparseMatrix a = mna.Gs();
-    auto solver = SystemSolver::make(a, opts);
+    std::optional<ScopedFaults> faults;
+    if (*c.faults) faults.emplace(c.faults);
+    auto solver = SystemSolver::make(a);
     ASSERT_TRUE(solver.ok());
     auto vals = a.values();
     for (auto& v : vals) v *= 2.0;
     ASSERT_TRUE(solver->refactor(a).ok());
     const Vector x2 = solver->solve(b);
-    auto fresh = SystemSolver::make(a, opts);
+    auto fresh = LuFactor::make(a.to_dense());
     ASSERT_TRUE(fresh.ok());
     const Vector xf = fresh->solve(b);
     for (std::size_t i = 0; i < mna.dim(); ++i) EXPECT_NEAR(x2[i], xf[i], 1e-12);
+    if (*c.faults) {
+      EXPECT_GT(fault::injected(fault::Site::kFactor), 0u);
+      // With the rung off, the injected failure is the caller's error.
+      SolverOptions strict;
+      strict.allow_dense_fallback = false;
+      EXPECT_EQ(SystemSolver::make(a, strict).status().code(),
+                StatusCode::kInternal);
+    }
   }
-}
-
-TEST(SolverBackendNames, ParseAndPrint) {
-  EXPECT_STREQ(solver_backend_name(SolverBackend::kAuto), "auto");
-  EXPECT_STREQ(solver_backend_name(SolverBackend::kDense), "dense");
-  EXPECT_STREQ(solver_backend_name(SolverBackend::kSparse), "sparse");
-  auto parsed = parse_solver_backend("sparse");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, SolverBackend::kSparse);
-  EXPECT_EQ(parse_solver_backend("cholesky").status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // dnoise_cli — command-line delay/functional noise analysis of coupled
 // nets described in the SPEF-subset format (see rcnet/spef.hpp for the
 // grammar; examples/spef_flow generates decks). Run it with no arguments
-// for the usage text.
+// (or with --help) for the usage text.
 //
 // Modes:
 //   dnoise_cli <file.spef>              one net: text, --csv or --json
@@ -112,9 +112,11 @@ StatusOr<std::vector<std::string>> positional_args(int argc, char** argv) {
   return out;
 }
 
-int usage() {
+/// The usage text: on stdout with exit 0 when asked for (--help, -h),
+/// on stderr with exit 2 after a usage error.
+int usage(std::FILE* out = stderr) {
   std::fprintf(
-      stderr,
+      out,
       "usage: dnoise_cli <file.spef> [--functional] [--golden] [--csv]\n"
       "                  [--json]\n"
       "       dnoise_cli --batch <file.spef>... [--json] [--load-cache F]\n"
@@ -123,6 +125,7 @@ int usage() {
       "       dnoise_cli --screen <file.spef>... (rank by severity)\n"
       "       dnoise_cli --serve [--socket PATH] [--queue-soft N]\n"
       "                  [--queue-hard N]   (NDJSON analysis daemon)\n"
+      "       dnoise_cli --help | -h           (this text)\n"
       "  durability (DESIGN.md §15):\n"
       "       [--state-dir DIR]  journal + snapshot directory; SIGTERM\n"
       "                          drains gracefully and snapshots\n"
@@ -140,7 +143,7 @@ int usage() {
       "       [--inject-faults site[:rate],...] [--fault-seed N]\n"
       "       sites: parse|cache|factor|newton|all\n",
       AnalysisConfig::flags_usage().c_str());
-  return 2;
+  return out == stdout ? 0 : 2;
 }
 
 /// Turns the observability subsystems on per the flags; returns whether
@@ -403,6 +406,8 @@ int run_serve(int argc, char** argv, const AnalysisConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h"))
+    return usage(stdout);
   const StatusOr<std::vector<std::string>> files = positional_args(argc, argv);
   if (!files.ok()) {
     std::fprintf(stderr, "error: %s\n", files.status().to_string().c_str());
