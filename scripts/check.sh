@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: warnings-as-errors build, the tier-1 ctest suite, an
+# Repo gate: warnings-as-errors build, the tier-1 ctest suite, the
+# paper's claims (the `paper` ctest label), an
 # ASan+UBSan pass over the solver/simulator core (the sparse LU and the
 # Newton restamp path are pointer-heavy index juggling — exactly what the
 # address sanitizer is for), a ThreadSanitizer pass over the batch
@@ -38,6 +39,9 @@ cmake --build build -j "$jobs"
 
 echo "== tier-1 tests =="
 ctest --test-dir build -L tier1 --output-on-failure -j "$jobs"
+
+echo "== paper gates (the reproduced figures' shape criteria) =="
+ctest --test-dir build -L paper --output-on-failure -j "$jobs"
 
 if [[ "$run_asan" == 1 ]]; then
   echo "== Address+UB sanitizer: solver and simulator core =="

@@ -125,11 +125,6 @@ const Key kKeys[] = {
        return refs(&a.engine.ceff.max_dt_growth,
                    &a.engine.ceff.fit.max_dt_growth);
      }},
-    {.name = "rtr_max_dt_growth", .lo = 1, .hi = 64, .lo_open = true,
-     .help = "max adaptive-dt growth, Rtr sims",
-     .fields = [](auto&, auto& a) {
-       return refs(&a.analysis.rtr.max_dt_growth);
-     }},
     {.name = "stale_jacobian_iters", .flag = "--stale-jacobian-iters",
      .arg = "N", .lo = 0, .hi = 1000,
      .help = "Jacobian reuse, superposition sims; 0 = off",
@@ -149,7 +144,7 @@ const Key kKeys[] = {
      .fields = [](auto&, auto& a) {
        return refs(&a.engine.warm_start, &a.engine.ceff.warm_start,
                    &a.analysis.search.warm_start,
-                   &a.table_spec.search.warm_start, &a.analysis.rtr.warm_start);
+                   &a.table_spec.search.warm_start);
      }},
 };
 
@@ -175,6 +170,9 @@ const RemovedKey kRemovedKeys[] = {
     {"solver", "\"auto\"",
      "the system size picks the linear solver (SmallLu up to 16 unknowns, "
      "SparseLu above)"},
+    {"rtr_max_dt_growth", "4",
+     "the Rtr driver sims run on the fixed dt_ps grid, simulating only the "
+     "window the noise touches"},
 };
 
 // The config flags outside the table: a file of keys, and the one flag

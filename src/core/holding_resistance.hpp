@@ -12,6 +12,13 @@
 //   3. Nonlinearly simulate the victim driver into Cload (its effective
 //      load) twice — without (V1) and with (V2) In injected at the output.
 //      The true noise response is V'n = V2 - V1.
+//      Only the window where the noise acts is simulated: V1 (memoized per
+//      engine) keeps its state at every point of its fixed 1 ps grid and
+//      stops once the driver has settled; V2 resumes from V1's state at
+//      the last grid point before In turns nonzero — on V1's own grid, so
+//      the discretization error of the two cancels in the difference —
+//      and stops once In has died away and V2 - V1 has settled (both
+//      below kRtrWindowTol of their peaks). Outside the window V'n is 0.
 //   4. Pick Rtr so the *area* of the linear-model response matches:
 //         Rtr = integral(V'n) / integral(In).
 //   5. Re-run the aggressor noise with Rtr in place of Rth; optionally
@@ -27,25 +34,18 @@
 
 namespace dn {
 
+/// Where the V2 window ends: In below this fraction of its peak, and
+/// V2 - V1 below it of its running peak for kDriverSettleWindow.
+inline constexpr double kRtrWindowTol = 1e-4;
+
 struct RtrOptions {
   int max_iterations = 4;
   double rel_tol = 0.05;     // Convergence on |dRtr|/Rtr.
   double r_min = 1.0;        // Clamp range for pathological nets [Ohm].
   double r_max = 1e7;
-  /// LTE bound for the nonlinear driver sims [V]; 0 = fixed step (the
-  /// default). The extraction measures the small DIFFERENCE V2 - V1 of two
-  /// nearly identical transitions, which only stays clean when both sims
-  /// share one grid so their discretization error cancels — adaptive
-  /// stepping puts them on different grids and the interpolation residue
-  /// swamps weakly-coupled nets. Opt in only for strongly-coupled probes.
-  double lte_tol = 0.0;
-  double max_dt_growth = 4.0;
   /// Chord-Newton budget for the driver sims; -1 = engine default,
   /// 0 = classic full Newton (sim/transient.hpp).
   int stale_jacobian_iters = -1;
-  /// Warm-start V2 from V1's operating point (same driver, same input
-  /// level at t=0 — the DC solution is identical).
-  bool warm_start = true;
 };
 
 struct RtrResult {
@@ -55,7 +55,7 @@ struct RtrResult {
   bool converged = false;
   Pwl vn_linear;             // Step 1: noise at the victim root (with Rth).
   Pwl in_current;            // Step 2: injected noise current.
-  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1.
+  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1 over [0, horizon].
 };
 
 /// Computes Rtr for the victim driver of `eng`'s net with the aggressor

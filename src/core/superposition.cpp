@@ -1,5 +1,7 @@
 #include "core/superposition.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -215,12 +217,31 @@ const SuperpositionEngine::DriverResponse&
 SuperpositionEngine::victim_driver_response(const TransientSpec& spec) const {
   for (const auto& [key, response] : driver_cache_)
     if (key == spec) return response;
-  GateSimCache cold;  // Captures the run's DC state for the V2 warm start.
-  auto out = try_simulate_gate(net_.victim.driver, victim_input(),
-                               victim_model_.ceff, spec, std::nullopt, &cold);
-  if (!out.ok()) raise(out.status());
-  driver_cache_.emplace_back(
-      spec, DriverResponse{std::move(out).value(), std::move(cold.dc)});
+  const Pwl vin = victim_input();
+  const GateCircuit g = gate_circuit(net_.victim.driver, vin,
+                                     victim_model_.ceff);
+  const NonlinearSim sim(g.ckt);
+  DriverResponse r;
+  r.dim = sim.mna().dim();
+  // Keep every step's state, and stop once the output has held one level
+  // (within kDriverSettleTol) for a settle window wholly after the ramp.
+  const double t_ramp_end = vin.t_end();
+  double v_level = 0.0, t_level = -1.0;
+  const StopCondition settled = [&](double t, const Vector& x) {
+    r.states.insert(r.states.end(), x.begin(), x.end());
+    const double v = sim.mna().node_voltage(x, g.out);
+    if (t_level < 0.0 || std::abs(v - v_level) > kDriverSettleTol) {
+      v_level = v;
+      t_level = t;
+    }
+    return t - std::max(t_level, t_ramp_end) >= kDriverSettleWindow;
+  };
+  auto res = sim.try_run(spec, nullptr, {g.out}, settled);
+  if (!res.ok()) raise(res.status());
+  const Vector& x0 = res->initial_state();
+  r.states.insert(r.states.begin(), x0.begin(), x0.end());
+  r.out = res->waveform(g.out);
+  driver_cache_.emplace_back(spec, std::move(r));
   return driver_cache_.back().second;
 }
 

@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,12 @@
 namespace dn {
 
 class ReductionCache;
+
+/// When the V1 driver sim counts as settled (victim_driver_response): its
+/// output has moved less than kDriverSettleTol for kDriverSettleWindow
+/// after the input ramp. The Rtr V2 sims use the same window.
+inline constexpr double kDriverSettleWindow = 50e-12;  // [s]
+inline constexpr double kDriverSettleTol = 1e-9;       // [V]
 
 struct SuperpositionOptions {
   double dt = 1e-12;        // Reference simulation step [s].
@@ -99,13 +106,22 @@ class SuperpositionEngine {
   const Waveforms& victim_transition() const;
 
   /// Noiseless nonlinear victim driver into its effective load (Ceff)
-  /// under `spec` — V1 of the Rtr extraction (core/holding_resistance.hpp)
-  /// — and the DC state the run started from, the warm-start seed of the
-  /// V2 sims. Depends only on the driver, victim_input(), Ceff and the
-  /// spec, so it is cached per spec.
+  /// under the fixed-grid `spec` — V1 of the Rtr extraction
+  /// (core/holding_resistance.hpp). The run keeps its full MNA state at
+  /// every grid point, so a V2 sim can resume from it, and stops once the
+  /// driver has settled: the input ramp is over and the output has stayed
+  /// within kDriverSettleTol of one level for kDriverSettleWindow. Past its
+  /// last sample V1 reads as its final value. Depends only on the driver,
+  /// victim_input(), Ceff and the spec, so it is cached per spec; the
+  /// cache lives as long as the engine.
   struct DriverResponse {
-    Pwl out;
-    std::vector<double> dc;
+    Pwl out;                     // Output at each grid point, t = 0 first.
+    std::size_t dim = 0;         // MNA state size.
+    std::vector<double> states;  // dim x out.size(), one row per grid point.
+
+    std::span<const double> state(std::size_t i) const {
+      return {states.data() + i * dim, dim};
+    }
   };
   const DriverResponse& victim_driver_response(const TransientSpec& spec) const;
 

@@ -98,25 +98,32 @@ NodeId add_vdd(Circuit& ckt, double vdd) {
   return n;
 }
 
+GateCircuit gate_circuit(const GateParams& gate, const Pwl& vin, double cload,
+                         const std::optional<Pwl>& inject) {
+  GateCircuit g;
+  Circuit& ckt = g.ckt;
+  const NodeId vdd = add_vdd(ckt, gate.vdd);
+  const NodeId in = ckt.node("in");
+  g.out = ckt.node("out");
+  g.in_src = ckt.add_vsource(in, kGround, vin);
+  instantiate_gate(ckt, gate, in, g.out, vdd);
+  if (cload > 0) ckt.add_capacitor(g.out, kGround, cload);
+  if (inject) ckt.add_isource(g.out, kGround, *inject);
+  return g;
+}
+
 StatusOr<Pwl> try_simulate_gate(const GateParams& gate, const Pwl& vin,
                                 double cload, const TransientSpec& spec,
                                 const std::optional<Pwl>& inject,
                                 GateSimCache* warm) {
-  Circuit ckt;
-  const NodeId vdd = add_vdd(ckt, gate.vdd);
-  const NodeId in = ckt.node("in");
-  const NodeId out = ckt.node("out");
-  ckt.add_vsource(in, kGround, vin);
-  instantiate_gate(ckt, gate, in, out, vdd);
-  if (cload > 0) ckt.add_capacitor(out, kGround, cload);
-  if (inject) ckt.add_isource(out, kGround, *inject);
-  NonlinearSim sim(ckt);
+  const GateCircuit g = gate_circuit(gate, vin, cload, inject);
+  NonlinearSim sim(g.ckt);
   const Vector* hint =
       (warm && warm->dc.size() == sim.mna().dim()) ? &warm->dc : nullptr;
-  auto res = sim.try_run(spec, hint, {out});
+  auto res = sim.try_run(spec, hint, {g.out});
   if (!res.ok()) return res.status();
   if (warm) warm->dc = res->initial_state();
-  return res->waveform(out);
+  return res->waveform(g.out);
 }
 
 Pwl simulate_gate(const GateParams& gate, const Pwl& vin, double cload,
@@ -128,28 +135,23 @@ Pwl simulate_gate(const GateParams& gate, const Pwl& vin, double cload,
 
 ReceiverProbeSession::ReceiverProbeSession(const GateParams& gate,
                                            double cload, bool warm_start)
-    : warm_start_(warm_start) {
-  // Element order matches try_simulate_gate exactly, so the assembled MNA
-  // system (and therefore every simulated byte) is identical.
-  const NodeId vdd = add_vdd(ckt_, gate.vdd);
-  const NodeId in = ckt_.node("in");
-  out_ = ckt_.node("out");
-  in_src_ = ckt_.add_vsource(in, kGround, Pwl::constant(0.0));
-  instantiate_gate(ckt_, gate, in, out_, vdd);
-  if (cload > 0) ckt_.add_capacitor(out_, kGround, cload);
-  sim_.emplace(ckt_);
+    : gc_(gate_circuit(gate, Pwl::constant(0.0), cload)),
+      warm_start_(warm_start) {
+  // The circuit try_simulate_gate builds, so the assembled MNA system (and
+  // therefore every simulated byte) is identical.
+  sim_.emplace(gc_.ckt);
 }
 
 StatusOr<Pwl> ReceiverProbeSession::try_run(const Pwl& vin,
                                             const TransientSpec& spec) {
-  ckt_.set_vsource_waveform(in_src_, vin);
+  gc_.ckt.set_vsource_waveform(gc_.in_src, vin);
   const Vector* hint =
       (warm_start_ && dc_.size() == sim_->mna().dim()) ? &dc_ : nullptr;
-  auto res = sim_->try_run(spec, hint, {out_});
+  auto res = sim_->try_run(spec, hint, {gc_.out});
   if (!res.ok()) return res.status();
   if (warm_start_) dc_ = res->initial_state();
   ++probes_;
-  return res->waveform(out_);
+  return res->waveform(gc_.out);
 }
 
 double gate_initial_output(const GateParams& gate, double vin_initial) {

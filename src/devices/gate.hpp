@@ -67,6 +67,20 @@ struct GateSimCache {
   std::vector<double> dc;  // Previous MNA state; empty = cold.
 };
 
+/// The canonical single-gate circuit: supply, input source `vin` (source
+/// index `in_src`), the gate, `cload` on its output and, when given,
+/// `inject` pushed into the output. try_simulate_gate and
+/// ReceiverProbeSession simulate it; callers that resume or stop runs
+/// drive a NonlinearSim over it themselves. A simulator holds a reference
+/// to `ckt`, so the struct must stay in place while one does.
+struct GateCircuit {
+  Circuit ckt;
+  NodeId out = kGround;
+  int in_src = -1;
+};
+GateCircuit gate_circuit(const GateParams& gate, const Pwl& vin, double cload,
+                         const std::optional<Pwl>& inject = std::nullopt);
+
 /// Simulates the gate driving a lumped capacitor `cload` with input `vin`.
 /// If `inject` is provided, that current is additionally pushed into the
 /// output node (paper Figure 4(b)). Returns the output waveform.
@@ -125,9 +139,7 @@ class ReceiverProbeSession {
   std::uint64_t probes() const { return probes_; }
 
  private:
-  Circuit ckt_;          // Never resized/moved: sim_ holds a reference.
-  NodeId out_ = kGround;
-  int in_src_ = -1;
+  GateCircuit gc_;       // Never resized/moved: sim_ holds a reference.
   bool warm_start_ = false;
   std::optional<NonlinearSim> sim_;
   Vector dc_;            // Warm-start chain; empty = cold.

@@ -103,8 +103,18 @@ TransientResult LinearSim::run_impl(
   };
   sample(x0, spec.t_start);
   result.set_initial_state(x0);
-  // Stop-node value at the last accepted sample (the segment start).
-  double v_stop = stop ? mna_.node_voltage(x0, stop->node) : 0.0;
+  // The crossing test as a StopCondition; `v_stop` is the stop node's
+  // value at the last accepted sample (the segment start).
+  StopCondition stop_at;
+  if (stop)
+    stop_at = [this, &stop, v_stop = mna_.node_voltage(x0, stop->node)](
+                  double, const Vector& x) mutable {
+      const double v0 = v_stop, v1 = mna_.node_voltage(x, stop->node);
+      v_stop = v1;
+      const double l = stop->level;
+      return (v1 > v0) == stop->rising && (v0 - l) * (v1 - l) <= 0.0 &&
+             v0 != v1;
+    };
 
   StepController ctl(spec, ckt_);
   Vector b0, b1;
@@ -192,14 +202,7 @@ TransientResult LinearSim::run_impl(
     std::swap(b0, b1);
     t0 = t1;
     sample(x0, t0);
-    if (stop) {
-      const double v0 = v_stop, v1 = mna_.node_voltage(x0, stop->node);
-      v_stop = v1;
-      const double l = stop->level;
-      if ((v1 > v0) == stop->rising && (v0 - l) * (v1 - l) <= 0.0 &&
-          v0 != v1)
-        break;
-    }
+    if (stop_at && stop_at(t0, x0)) break;
   }
   c_steps.add(n_steps);
   c_accepted.add(n_steps);

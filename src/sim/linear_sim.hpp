@@ -35,7 +35,9 @@ namespace dn {
 /// Ends a run at the first accepted step whose segment crosses `level` on
 /// `node` in the requested direction — exactly the segment test of
 /// Pwl::crossing: (v0 - level) * (v1 - level) <= 0, v0 != v1, and
-/// v1 > v0 == rising. The crossing step is the last sample recorded.
+/// v1 > v0 == rising. The crossing step is the last sample recorded. The
+/// run applies it as a StopCondition (sim/transient.hpp), the one early-end
+/// hook both simulators share.
 struct CrossingStop {
   NodeId node = kGround;
   double level = 0.0;

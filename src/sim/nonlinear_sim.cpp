@@ -20,6 +20,7 @@ namespace {
 struct SimCounters {
   obs::Counter& steps;
   obs::Counter& newton_iters;
+  obs::Counter& dc_solves;
   obs::Counter& lte_accepted;
   obs::Counter& lte_rejected;
   obs::Counter& stale_reuse;
@@ -31,6 +32,7 @@ SimCounters& counters() {
   static SimCounters c{
       obs::metrics().counter("sim.nonlinear.steps"),
       obs::metrics().counter("sim.nonlinear.newton_iters"),
+      obs::metrics().counter("sim.nonlinear.dc_solves"),
       obs::metrics().counter("sim.lte.steps_accepted"),
       obs::metrics().counter("sim.lte.steps_rejected"),
       obs::metrics().counter("sim.newton.stale_reuse"),
@@ -232,6 +234,7 @@ Vector NonlinearSim::dc_solve(double t, const Vector* hint) const {
   static obs::Counter& c_hits = obs::metrics().counter("sim.warm_start.hits");
   static obs::Counter& c_misses =
       obs::metrics().counter("sim.warm_start.misses");
+  counters().dc_solves.add();
   const Vector b = mna_.rhs(t);
   if (hint && hint->size() == mna_.dim()) {
     // Warm start: direct Newton from the previous operating point. The
@@ -270,7 +273,8 @@ StatusOr<Vector> NonlinearSim::try_dc_solve(double t, const Vector* hint) const 
 
 TransientResult NonlinearSim::run_impl(
     const TransientSpec& spec, const Vector* dc_hint,
-    const std::vector<NodeId>& record) const {
+    std::span<const double> start, const std::vector<NodeId>& record,
+    const StopCondition& stop) const {
   const std::size_t dim = mna_.dim();
   const std::size_t nv = mna_.num_node_vars();
   SimCounters& c = counters();
@@ -285,7 +289,8 @@ TransientResult NonlinearSim::run_impl(
   stale_budget_ = spec.stale_jacobian_iters >= 0 ? spec.stale_jacobian_iters
                                                  : opts_.stale_jacobian_iters;
   TransientResult result(ckt_.num_nodes(), record);  // Validates `record`.
-  Vector x0 = dc_solve(spec.t_start, dc_hint);
+  Vector x0 = start.empty() ? dc_solve(spec.t_start, dc_hint)
+                            : Vector(start.begin(), start.end());
 
   if (!spec.adaptive())
     result.reserve(static_cast<std::size_t>(*spec.num_steps()) + 1);
@@ -482,6 +487,7 @@ TransientResult NonlinearSim::run_impl(
     std::swap(b0, b1);
     t0 = t1;
     sample(x0, t0);
+    if (stop && stop(t0, x0)) break;
   }
   c.newton_iters.add(newton_iters);
   c.steps.add(n_steps);
@@ -496,10 +502,26 @@ TransientResult NonlinearSim::run_impl(
 
 StatusOr<TransientResult> NonlinearSim::try_run(
     const TransientSpec& spec, const Vector* dc_hint,
-    const std::vector<NodeId>& record) const {
+    const std::vector<NodeId>& record, const StopCondition& stop) const {
   if (Status s = spec.validate(); !s.ok()) return s;
   try {
-    return run_impl(spec, dc_hint, record);
+    return run_impl(spec, dc_hint, {}, record, stop);
+  } catch (const ConvergenceError& e) {
+    return Status::NumericFailure(e.what());
+  } catch (const std::exception& e) {
+    return status_from_exception(e);
+  }
+}
+
+StatusOr<TransientResult> NonlinearSim::try_resume(
+    const TransientSpec& spec, std::span<const double> state,
+    const std::vector<NodeId>& record, const StopCondition& stop) const {
+  if (Status s = spec.validate(); !s.ok()) return s;
+  if (state.size() != mna_.dim() || !all_finite(state))
+    return Status::InvalidArgument(
+        "NonlinearSim: resume state must hold dim() finite entries");
+  try {
+    return run_impl(spec, nullptr, state, record, stop);
   } catch (const ConvergenceError& e) {
     return Status::NumericFailure(e.what());
   } catch (const std::exception& e) {

@@ -18,6 +18,9 @@
 //     only). Fallback ladder: stale factor -> fresh factor -> halve the
 //     step (adaptive) -> kNumericError.
 //   - LTE-adaptive stepping via StepController when spec.lte_tol > 0.
+//   - A run may start from a given MNA state instead of the DC point
+//     (try_resume) and end early at a StopCondition, which is how the Rtr
+//     extraction simulates only the window its noise touches.
 //
 // The public surface is StatusOr-only: try_run/try_dc_solve never throw —
 // Newton non-convergence is kNumericError, a cancelled deadline
@@ -65,10 +68,23 @@ class NonlinearSim {
   /// operating-point solve (warm start); it is validated by Newton, never
   /// trusted blindly. kNumericError on Newton non-convergence. Records
   /// the nodes in `record` (every node when empty; a node outside the
-  /// circuit is kInvalidArgument), as LinearSim::try_run does.
+  /// circuit is kInvalidArgument), as LinearSim::try_run does, and runs
+  /// to spec.t_stop or until `stop` fires.
   StatusOr<TransientResult> try_run(
       const TransientSpec& spec, const Vector* dc_hint = nullptr,
-      const std::vector<NodeId>& record = {}) const;
+      const std::vector<NodeId>& record = {},
+      const StopCondition& stop = {}) const;
+
+  /// try_run from a given state: `state` (dim() entries, node voltages and
+  /// branch currents) is taken as the converged solution at spec.t_start,
+  /// with no DC solve. Resumed from step k of a fixed-grid run, the run
+  /// retraces that run's grid from k on and matches its samples to within
+  /// Newton's v_tol; only the chord factor and the predictor history
+  /// restart. A state of the wrong size is kInvalidArgument.
+  StatusOr<TransientResult> try_resume(
+      const TransientSpec& spec, std::span<const double> state,
+      const std::vector<NodeId>& record = {},
+      const StopCondition& stop = {}) const;
 
   /// DC operating point at time t. With a usable `hint` the gmin-stepping
   /// ladder is skipped entirely when direct Newton from the hint converges.
@@ -93,8 +109,11 @@ class NonlinearSim {
 
   // Throwing internals wrapped by the StatusOr surface.
   Vector dc_solve(double t, const Vector* hint) const;
+  /// Starts from `start` when it is non-empty, else from the DC point.
   TransientResult run_impl(const TransientSpec& spec, const Vector* dc_hint,
-                           const std::vector<NodeId>& record) const;
+                           std::span<const double> start,
+                           const std::vector<NodeId>& record,
+                           const StopCondition& stop) const;
 
   const Circuit& ckt_;
   MnaSystem mna_;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,15 @@ struct TransientSpec {
   /// over 2e7 steps (almost always a units mistake).
   StatusOr<int> num_steps() const;
 };
+
+/// Ends a run early, in LinearSim and NonlinearSim alike: after each
+/// accepted step the sim calls it with the step's end time and full MNA
+/// state, and the first step for which it returns true is the last sample
+/// recorded. The step sequence depends only on the past, so a stopped run
+/// is a bit-exact prefix of the full run. The condition may keep state of
+/// its own across calls (the Rtr V1 sim copies each state out through it).
+using StopCondition =
+    std::function<bool(double t, const std::vector<double>& x)>;
 
 /// Transient result: node voltages at sampled (not necessarily uniform)
 /// time points. Pwl handles non-uniform grids natively, so waveform()

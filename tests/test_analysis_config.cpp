@@ -131,7 +131,6 @@ const std::vector<std::pair<std::string, std::string>> kNonDefault = {
     {"lte_tol", "1e-3"},
     {"max_dt_growth", "8"},
     {"ceff_max_dt_growth", "16"},
-    {"rtr_max_dt_growth", "2"},
     {"stale_jacobian_iters", "0"},
     {"search_stale_jacobian_iters", "0"},
     {"warm_start", "false"},
@@ -146,7 +145,8 @@ const std::map<std::string, std::string> kRemovedKeys = {
     {"screen_vn_below_v", "-1"},
     {"max_retries", "0"},
     {"retry_backoff_ms", "1"},
-    {"solver", "\"auto\""}};
+    {"solver", "\"auto\""},
+    {"rtr_max_dt_growth", "4"}};
 
 json::Value one_key(const std::string& key, const std::string& value) {
   json::Object o;
@@ -218,7 +218,6 @@ TEST(AnalysisConfigTable, NarrowedKeysSetOnlyTheirOwnFamily) {
   EXPECT_EQ(a.engine.max_dt_growth, 8.0);
   EXPECT_EQ(a.engine.ceff.max_dt_growth, d.engine.ceff.max_dt_growth);
   EXPECT_EQ(a.engine.ceff.fit.max_dt_growth, d.engine.ceff.fit.max_dt_growth);
-  EXPECT_EQ(a.analysis.rtr.max_dt_growth, d.analysis.rtr.max_dt_growth);
   EXPECT_EQ(a.engine.newton.stale_jacobian_iters, 0);
   EXPECT_EQ(a.engine.ceff.fit.stale_jacobian_iters,
             d.engine.ceff.fit.stale_jacobian_iters);
@@ -234,7 +233,7 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
   // A dump written before the key table (flow keys first, per-family
   // overrides after, read in document order), with non-default flow and
   // override values. Server snapshots in this form must still recover.
-  // The five keys removed since hold the values every such dump has.
+  // The six keys removed since hold the values every such dump has.
   const char* kOldDump =
       R"({"jobs":3,"top_k":7,"screen_below_ps":-1,"screen_vn_below_v":-1,)"
       R"("fidelity_ladder":true,"fidelity_threshold_ps":12.5,)"
@@ -245,7 +244,7 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
       R"("model_alignment_iterations":2,"rtr_max_iterations":4,)"
       R"("newton_max_iterations":80,"newton_v_tol":9.9999999999999995e-08,)"
       R"("lte_tol":0.001,"max_dt_growth":8,"ceff_max_dt_growth":16,)"
-      R"("rtr_max_dt_growth":2,"stale_jacobian_iters":4,)"
+      R"("rtr_max_dt_growth":4,"stale_jacobian_iters":4,)"
       R"("search_stale_jacobian_iters":0,"warm_start":false})";
   const StatusOr<AnalysisConfig> cfg =
       AnalysisConfig::from_json(std::string_view(kOldDump));
@@ -261,11 +260,9 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
        {a.engine.lte_tol, a.engine.ceff.lte_tol, a.engine.ceff.fit.lte_tol,
         a.analysis.search.lte_tol, a.table_spec.search.lte_tol})
     EXPECT_EQ(tol, 0.001);
-  EXPECT_EQ(a.analysis.rtr.lte_tol, AnalyzerConfig{}.analysis.rtr.lte_tol);
   EXPECT_EQ(a.engine.max_dt_growth, 8.0);
   EXPECT_EQ(a.engine.ceff.max_dt_growth, 16.0);
   EXPECT_EQ(a.engine.ceff.fit.max_dt_growth, 16.0);
-  EXPECT_EQ(a.analysis.rtr.max_dt_growth, 2.0);
   EXPECT_EQ(a.engine.newton.stale_jacobian_iters, 4);
   for (const int n : {a.engine.ceff.fit.stale_jacobian_iters,
                       a.analysis.search.stale_jacobian_iters,
@@ -274,8 +271,7 @@ TEST(AnalysisConfigTable, ParentFormatDumpRestoresEveryField) {
     EXPECT_EQ(n, 0);
   for (const bool warm :
        {a.engine.warm_start, a.engine.ceff.warm_start,
-        a.analysis.search.warm_start, a.table_spec.search.warm_start,
-        a.analysis.rtr.warm_start})
+        a.analysis.search.warm_start, a.table_spec.search.warm_start})
     EXPECT_FALSE(warm);
   EXPECT_TRUE(cfg->batch.ladder.enabled);
   EXPECT_NEAR(cfg->batch.ladder.dn_threshold, 12.5 * ps, 1e-24);
@@ -296,6 +292,11 @@ TEST(AnalysisConfigTable, RemovedKeysApplyOnlyAtTheirOldDumpedValues) {
   EXPECT_NE(s.message().find("--fidelity-margin 1"), std::string::npos);
   EXPECT_EQ(cfg.apply(one_key("max_retries", "2")).code(),
             StatusCode::kInvalidArgument);
+  // The Rtr sims have one fixed grid; a growth cap other than the dumped
+  // default names why.
+  const Status growth = cfg.apply(one_key("rtr_max_dt_growth", "2"));
+  EXPECT_EQ(growth.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(growth.message().find("fixed dt_ps grid"), std::string::npos);
 }
 
 TEST(AnalysisConfigTable, RemovedSolverKeyAppliesOnlyAtAuto) {

@@ -150,5 +150,78 @@ TEST(NonlinearSim, NonConvergenceIsNumericError) {
   EXPECT_EQ(res.status().code(), StatusCode::kNumericError);
 }
 
+// A noise pulse on a switching inverter: the Rtr driver-sim setup.
+InverterFixture switching_with_noise() {
+  InverterFixture f(Pwl::ramp(100 * ps, 150 * ps, 0.0, kVdd), 30 * fF);
+  f.ckt.add_isource(f.out, kGround,
+                    triangle_pulse(-0.3 * mA, 80 * ps, 220 * ps));
+  return f;
+}
+
+TEST(NonlinearSimStop, StoppedRunIsABitExactPrefixOfTheFullRun) {
+  const InverterFixture f = switching_with_noise();
+  const NonlinearSim sim(f.ckt);
+  const TransientSpec spec{0.0, 1 * ns, 1 * ps};
+  const TransientResult full = sim.try_run(spec, nullptr, {f.out}).value();
+  for (const double t_stop : {0.5 * ps, 180 * ps, 437 * ps}) {
+    SCOPED_TRACE(t_stop);
+    int calls = 0;
+    const StopCondition stop = [&](double t, const Vector& x) {
+      ++calls;
+      EXPECT_EQ(x.size(), sim.mna().dim());
+      return t >= t_stop;
+    };
+    const TransientResult cut =
+        sim.try_run(spec, nullptr, {f.out}, stop).value();
+    ASSERT_LT(cut.num_points(), full.num_points());
+    // The step that fired is the last sample; every sample is the full
+    // run's, bit for bit.
+    EXPECT_EQ(calls + 1, static_cast<int>(cut.num_points()));
+    EXPECT_GE(cut.time().back(), t_stop);
+    EXPECT_LT(cut.time()[cut.num_points() - 2], t_stop);
+    const Pwl a = cut.waveform(f.out), b = full.waveform(f.out);
+    for (std::size_t i = 0; i < cut.num_points(); ++i) {
+      EXPECT_EQ(a.times()[i], b.times()[i]) << i;
+      EXPECT_EQ(a.values()[i], b.values()[i]) << i;
+    }
+  }
+}
+
+TEST(NonlinearSimStop, ResumedRunMatchesTheFullRunFromItsStartStep) {
+  const InverterFixture f = switching_with_noise();
+  NewtonOptions newton;
+  const NonlinearSim sim(f.ckt, newton);
+  const TransientSpec spec{0.0, 1 * ns, 1 * ps};
+  // Keep every state of the full run through a condition that never fires.
+  std::vector<Vector> states;
+  const StopCondition keep = [&](double, const Vector& x) {
+    states.push_back(x);
+    return false;
+  };
+  const TransientResult full =
+      sim.try_run(spec, nullptr, {f.out}, keep).value();
+  ASSERT_EQ(states.size() + 1, full.num_points());
+  const Pwl ref = full.waveform(f.out);
+  // Before the ramp, mid-transition, and on the noise pulse.
+  for (const std::size_t k : {50u, 180u, 215u}) {
+    SCOPED_TRACE(k);
+    TransientSpec from_k = spec;
+    from_k.t_start = full.time()[k];
+    const TransientResult resumed =
+        sim.try_resume(from_k, states[k - 1], {f.out}).value();
+    ASSERT_EQ(resumed.num_points() + k, full.num_points());
+    EXPECT_EQ(resumed.initial_state(), states[k - 1]);
+    const Pwl got = resumed.waveform(f.out);
+    for (std::size_t i = 0; i < resumed.num_points(); ++i) {
+      EXPECT_EQ(got.times()[i], ref.times()[k + i]) << i;
+      EXPECT_NEAR(got.values()[i], ref.values()[k + i], newton.v_tol) << i;
+    }
+  }
+  // A state of the wrong size is rejected, not simulated.
+  const Vector short_state(sim.mna().dim() - 1, 0.0);
+  EXPECT_EQ(sim.try_resume(spec, short_state).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace dn

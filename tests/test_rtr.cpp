@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "core/composite_pulse.hpp"
+#include "devices/gate.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/metrics.hpp"
 #include "util/units.hpp"
@@ -89,34 +91,30 @@ TEST(Rtr, DiagnosticWaveformsArePopulated) {
 TEST(Rtr, MemoizedDriverSimKeepsEveryBit) {
   // The second compute_rtr on an engine reuses the V1 driver sim the
   // first one ran; its result must equal, bit for bit, a call on a fresh
-  // engine that simulates V1 itself — with and without warm starts.
+  // engine that simulates V1 itself. Every V2 resumes from V1's state, so
+  // with V1 memoized the call makes no DC solve at all.
   const CoupledNet net = slow_victim_net();
-  for (const bool warm : {true, false}) {
-    RtrOptions opts;
-    opts.warm_start = warm;
-    SuperpositionEngine used(net);
-    compute_rtr(used, shifts_for_level(used, 0.3), opts);
-    const std::vector<double> shifts = shifts_for_level(used, 0.6);
-    const obs::Counter& hits = obs::metrics().counter("sim.warm_start.hits");
-    obs::set_metrics_enabled(true);
-    const std::uint64_t hits0 = hits.value();
-    const RtrResult memo = compute_rtr(used, shifts, opts);
-    obs::set_metrics_enabled(false);
-    // Every V2 sim, the first included, starts from a warm DC state.
-    EXPECT_EQ(hits.value() - hits0,
-              warm ? static_cast<std::uint64_t>(memo.iterations) : 0u);
-    SuperpositionEngine fresh(net);
-    const RtrResult ref =
-        compute_rtr(fresh, shifts_for_level(fresh, 0.6), opts);
-    EXPECT_EQ(memo.rtr, ref.rtr);
-    EXPECT_EQ(memo.iterations, ref.iterations);
-    EXPECT_EQ(memo.vn_nonlinear.times().size(),
-              ref.vn_nonlinear.times().size());
-    EXPECT_TRUE(std::equal(memo.vn_nonlinear.values().begin(),
-                           memo.vn_nonlinear.values().end(),
-                           ref.vn_nonlinear.values().begin(),
-                           ref.vn_nonlinear.values().end()));
-  }
+  SuperpositionEngine used(net);
+  compute_rtr(used, shifts_for_level(used, 0.3));
+  const std::vector<double> shifts = shifts_for_level(used, 0.6);
+  const obs::Counter& dc = obs::metrics().counter("sim.nonlinear.dc_solves");
+  const obs::Counter& steps = obs::metrics().counter("sim.nonlinear.steps");
+  obs::set_metrics_enabled(true);
+  const std::uint64_t dc0 = dc.value(), steps0 = steps.value();
+  const RtrResult memo = compute_rtr(used, shifts);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(dc.value() - dc0, 0u);
+  EXPECT_GT(steps.value() - steps0, 0u);  // The V2 sims did run.
+  SuperpositionEngine fresh(net);
+  const RtrResult ref = compute_rtr(fresh, shifts_for_level(fresh, 0.6));
+  EXPECT_EQ(memo.rtr, ref.rtr);
+  EXPECT_EQ(memo.iterations, ref.iterations);
+  EXPECT_EQ(memo.vn_nonlinear.times().size(),
+            ref.vn_nonlinear.times().size());
+  EXPECT_TRUE(std::equal(memo.vn_nonlinear.values().begin(),
+                         memo.vn_nonlinear.values().end(),
+                         ref.vn_nonlinear.values().begin(),
+                         ref.vn_nonlinear.values().end()));
 }
 
 TEST(Rtr, DriverResponseIsCachedPerSpec) {
@@ -124,13 +122,88 @@ TEST(Rtr, DriverResponseIsCachedPerSpec) {
   TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
   const auto& a = eng.victim_driver_response(spec);
   EXPECT_EQ(&a, &eng.victim_driver_response(spec));
-  EXPECT_FALSE(a.dc.empty());
+  // One full MNA state per grid point, the DC point first.
+  ASSERT_GT(a.dim, 0u);
+  EXPECT_EQ(a.states.size(), a.dim * a.out.size());
+  EXPECT_EQ(a.out.t_begin(), 0.0);
   spec.stale_jacobian_iters = 0;
   const auto& b = eng.victim_driver_response(spec);
   EXPECT_NE(&a, &b);
   EXPECT_EQ(&a, &eng.victim_driver_response({0.0, eng.options().horizon,
                                              eng.options().dt}));
 }
+
+TEST(Rtr, DriverResponseStopsOnceTheDriverHasSettled) {
+  SuperpositionEngine eng(slow_victim_net());
+  const TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
+  const auto& v1 = eng.victim_driver_response(spec);
+  const Pwl full = simulate_gate(eng.net().victim.driver, eng.victim_input(),
+                                 eng.victim_model().ceff, spec);
+  // Stopped well before the horizon, after the input ramp, as an exact
+  // prefix of the full-horizon sim that then holds its final value.
+  EXPECT_LT(v1.out.t_end(), 0.75 * spec.t_stop);
+  EXPECT_GT(v1.out.t_end(), eng.victim_input().t_end());
+  for (std::size_t i = 0; i < v1.out.size(); ++i)
+    ASSERT_EQ(v1.out.values()[i], full.values()[i]) << i;
+  for (double t = v1.out.t_end(); t <= spec.t_stop; t += 10e-12)
+    EXPECT_NEAR(full.at(t), v1.out.at(t), 10 * kDriverSettleTol) << t;
+}
+
+/// One-pass compute_rtr under `shifts` against V1 and V2 simulated over
+/// the whole horizon from their DC points, for the same injected current.
+void expect_window_matches_full_horizon(const SuperpositionEngine& eng,
+                                        const std::vector<double>& shifts) {
+  RtrOptions one_pass;
+  one_pass.max_iterations = 1;
+  const RtrResult r = compute_rtr(eng, shifts, one_pass);
+  const TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
+  const GateParams& driver = eng.net().victim.driver;
+  const double ceff = eng.victim_model().ceff;
+  const Pwl v1 = simulate_gate(driver, eng.victim_input(), ceff, spec);
+  const Pwl v2 =
+      simulate_gate(driver, eng.victim_input(), ceff, spec, r.in_current);
+  const Pwl vpn = v2 - v1;
+  const double rtr_full = vpn.integral() / r.in_current.integral();
+  EXPECT_NEAR(r.rtr, rtr_full, 1e-3 * rtr_full);
+  // V'n still spans the horizon, and matches the full difference.
+  EXPECT_EQ(r.vn_nonlinear.t_begin(), 0.0);
+  EXPECT_EQ(r.vn_nonlinear.t_end(), spec.t_stop);
+  const double peak = std::abs(vpn.peak().value);
+  for (double t = 0.0; t <= spec.t_stop; t += 5e-12)
+    EXPECT_NEAR(r.vn_nonlinear.at(t), vpn.at(t), 2e-3 * peak) << t;
+}
+
+class RtrWindow : public ::testing::TestWithParam<double> {};
+
+TEST_P(RtrWindow, MatchesFullHorizonDriverSims) {
+  SuperpositionEngine eng(slow_victim_net());
+  expect_window_matches_full_horizon(eng, shifts_for_level(eng, GetParam()));
+}
+
+TEST(Rtr, NoiseAlreadyFlowingAtTimeZeroStartsV2FromItsDcPoint) {
+  // An aggressor shifted to switch before t = 0 injects current from the
+  // first instant, so V2 has no noiseless prefix to resume from and runs
+  // from its own DC point.
+  SuperpositionEngine eng(slow_victim_net());
+  const std::vector<double> early(eng.net().aggressors.size(), -350e-12);
+  const Pwl vn =
+      eng.composite_noise_at_root(early, eng.victim_model().model.rth);
+  ASSERT_NE(vn.at(0.0), 0.0);
+  eng.victim_driver_response(
+      {0.0, eng.options().horizon, eng.options().dt});  // V1's own DC.
+  const obs::Counter& dc = obs::metrics().counter("sim.nonlinear.dc_solves");
+  obs::set_metrics_enabled(true);
+  const std::uint64_t dc0 = dc.value();
+  RtrOptions one_pass;
+  one_pass.max_iterations = 1;
+  compute_rtr(eng, early, one_pass);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(dc.value() - dc0, 1u);  // The one V2 sim's.
+  expect_window_matches_full_horizon(eng, early);
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, RtrWindow,
+                         ::testing::Values(0.3, 0.6, 0.9, 1.2, 1.45));
 
 TEST(Rtr, ConvergesWithinBudget) {
   const CoupledNet net = slow_victim_net();
